@@ -11,8 +11,7 @@ use sos_core::{
 };
 use sos_overlay::{ChordRing, NodeId, Overlay, Transport};
 use sos_sim::engine::{Simulation, SimulationConfig};
-use sos_faults::RetryPolicy;
-use sos_sim::routing::{route_message_into, RouteScratch, RoutingPolicy};
+use sos_sim::routing::{route, RouteCtx, RouteScratch, RoutingPolicy};
 use std::hint::black_box;
 
 fn scenario(big_n: u64, sos: u64) -> Scenario {
@@ -109,17 +108,9 @@ fn bench_routing(c: &mut Criterion) {
             |b, &policy| {
                 let mut rng = StdRng::seed_from_u64(8);
                 let mut scratch = RouteScratch::new();
-                let retry = RetryPolicy::none();
+                let ctx = RouteCtx::new(&overlay, &Transport::Direct, policy);
                 b.iter(|| {
-                    let result = route_message_into(
-                        &overlay,
-                        &Transport::Direct,
-                        policy,
-                        None,
-                        &retry,
-                        &mut rng,
-                        &mut scratch,
-                    );
+                    let result = route(&ctx, &mut rng, &mut scratch);
                     black_box((result.delivered, result.underlay_hops))
                 })
             },

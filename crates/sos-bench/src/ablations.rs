@@ -573,8 +573,7 @@ pub fn staleness_extension_with_trials(trials: u64) -> SweepTable {
     use sos_des::Scheduler;
     use sos_overlay::protocol::{run_maintenance, ChordProtocol, ProtocolConfig};
     use sos_overlay::{NodeId, Overlay, Transport};
-    use sos_faults::RetryPolicy;
-    use sos_sim::routing::{route_message_into, RouteScratch, RoutingPolicy};
+    use sos_sim::routing::{route, RouteCtx, RouteScratch, RoutingPolicy};
 
     let mut table = SweepTable::new("ext-staleness", "t", "P_S");
     let scenario = Scenario::builder()
@@ -589,7 +588,6 @@ pub fn staleness_extension_with_trials(trials: u64) -> SweepTable {
     let mut protocol_ps: Vec<f64> = vec![0.0; measure_points.len()];
     let mut direct_ps = 0.0f64;
     let mut scratch = RouteScratch::new();
-    let retry = RetryPolicy::none();
 
     for trial in 0..trials {
         let mut rng = StdRng::seed_from_u64(7_000 + trial);
@@ -633,18 +631,9 @@ pub fn staleness_extension_with_trials(trials: u64) -> SweepTable {
         // Reference: the paper's direct-hop abstraction on the same
         // damaged overlay.
         let mut hits = 0u32;
+        let ctx = RouteCtx::new(&overlay, &Transport::Direct, RoutingPolicy::RandomGood);
         for _ in 0..100 {
-            if route_message_into(
-                &overlay,
-                &Transport::Direct,
-                RoutingPolicy::RandomGood,
-                None,
-                &retry,
-                &mut rng,
-                &mut scratch,
-            )
-            .delivered
-            {
+            if route(&ctx, &mut rng, &mut scratch).delivered {
                 hits += 1;
             }
         }
@@ -656,18 +645,9 @@ pub fn staleness_extension_with_trials(trials: u64) -> SweepTable {
             run_maintenance(&mut proto, &mut sched, attack_time + t);
             let transport = Transport::Protocol(proto.clone());
             let mut hits = 0u32;
+            let ctx = RouteCtx::new(&overlay, &transport, RoutingPolicy::RandomGood);
             for _ in 0..100 {
-                if route_message_into(
-                    &overlay,
-                    &transport,
-                    RoutingPolicy::RandomGood,
-                    None,
-                    &retry,
-                    &mut rng,
-                    &mut scratch,
-                )
-                .delivered
-                {
+                if route(&ctx, &mut rng, &mut scratch).delivered {
                     hits += 1;
                 }
             }

@@ -31,7 +31,7 @@
 //!   RNG streams.
 //! - [`RetryPolicy`] — bounded retries with exponential backoff measured
 //!   in simulated ticks and a per-route deadline budget, applied by
-//!   `Transport::deliver_with` in `sos-overlay`.
+//!   `Transport::deliver` in `sos-overlay`.
 //!
 //! [`HopIncident`] and [`Fallback`] are the shared vocabulary for
 //! reporting what the fault plane did to a hop, so `sos-sim` can convert
@@ -50,7 +50,7 @@ pub use retry::RetryPolicy;
 
 /// What the fault plane (or the retry loop around it) did to one hop.
 ///
-/// Produced by `Transport::deliver_with` in `sos-overlay` and surfaced
+/// Produced by `Transport::deliver` in `sos-overlay` and surfaced
 /// through `sos-sim::routing` so traced runs can show *why* a route
 /// survived or died.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

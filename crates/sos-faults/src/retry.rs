@@ -22,7 +22,7 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// Single attempt, no backoff — the paper-faithful policy.
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         RetryPolicy { max_attempts: 1, backoff_base: 0, deadline: u64::MAX }
     }
 

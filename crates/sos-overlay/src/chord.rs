@@ -209,61 +209,30 @@ impl ChordRing {
     ///
     /// Panics if `from` is not on the ring.
     pub fn lookup(&self, from: NodeId, key: u64) -> LookupOutcome {
-        self.lookup_avoiding(from, key, |_| true)
-            .expect("lookup with all nodes alive cannot fail")
+        let mut path = Vec::new();
+        let (owner, _) = self
+            .lookup_avoiding(from, key, |_| true, Some(&mut path))
+            .expect("lookup with all nodes alive cannot fail");
+        LookupOutcome { owner, path }
     }
 
     /// Failure-aware lookup: only routes through nodes for which
     /// `is_alive` returns `true` (the starting node is assumed alive —
-    /// it is the one querying). Returns `None` when every remaining
-    /// route is blocked or the key's owner itself is dead.
+    /// it is the one querying). Returns `(owner, hops)`, or `None` when
+    /// every remaining route is blocked or the key's owner itself is
+    /// dead. With `path`, the visited nodes are recorded into it
+    /// (cleared first): the querying node, then one node per hop,
+    /// ending with the owner on success.
     ///
     /// # Panics
     ///
     /// Panics if `from` is not on the ring.
-    pub fn lookup_avoiding<F>(&self, from: NodeId, key: u64, is_alive: F) -> Option<LookupOutcome>
-    where
-        F: Fn(NodeId) -> bool,
-    {
-        let mut pos = self
-            .position(from)
-            .unwrap_or_else(|| panic!("{from} is not on the ring"));
-        let owner_pos = self.successor_position(key);
-        let owner = self.members[owner_pos];
-        if !is_alive(owner) {
-            return None;
-        }
-        let mut path = vec![self.members[pos]];
-        // Greedy routing strictly shrinks clockwise distance to the key,
-        // so n hops is a hard upper bound; the explicit cap also guards
-        // the degenerate everything-dead cases.
-        let max_hops = self.len() + SUCCESSOR_LIST_LEN + 1;
-        for _ in 0..max_hops {
-            if pos == owner_pos {
-                return Some(LookupOutcome { owner, path });
-            }
-            let next = self.best_alive_step(pos, owner_pos, &is_alive)?;
-            debug_assert_ne!(next, pos, "routing must make progress");
-            pos = next;
-            path.push(self.members[pos]);
-        }
-        None
-    }
-
-    /// Allocation-free variant of [`ChordRing::lookup_avoiding`] for hot
-    /// paths that only need the owner and hop count: returns
-    /// `(owner, hops)` without materializing the visited path. Takes the
-    /// same routing decisions, so `lookup_avoiding_hops(..) ==
-    /// lookup_avoiding(..).map(|o| (o.owner, o.hops()))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not on the ring.
-    pub fn lookup_avoiding_hops<F>(
+    pub fn lookup_avoiding<F>(
         &self,
         from: NodeId,
         key: u64,
         is_alive: F,
+        mut path: Option<&mut Vec<NodeId>>,
     ) -> Option<(NodeId, usize)>
     where
         F: Fn(NodeId) -> bool,
@@ -271,11 +240,18 @@ impl ChordRing {
         let mut pos = self
             .position(from)
             .unwrap_or_else(|| panic!("{from} is not on the ring"));
+        if let Some(p) = path.as_deref_mut() {
+            p.clear();
+            p.push(from);
+        }
         let owner_pos = self.successor_position(key);
         let owner = self.members[owner_pos];
         if !is_alive(owner) {
             return None;
         }
+        // Greedy routing strictly shrinks clockwise distance to the key,
+        // so n hops is a hard upper bound; the explicit cap also guards
+        // the degenerate everything-dead cases.
         let max_hops = self.len() + SUCCESSOR_LIST_LEN + 1;
         for hops in 0..max_hops {
             if pos == owner_pos {
@@ -284,6 +260,9 @@ impl ChordRing {
             let next = self.best_alive_step(pos, owner_pos, &is_alive)?;
             debug_assert_ne!(next, pos, "routing must make progress");
             pos = next;
+            if let Some(p) = path.as_deref_mut() {
+                p.push(self.members[pos]);
+            }
         }
         None
     }
@@ -293,46 +272,9 @@ impl ChordRing {
     /// reached. O(n) hops instead of O(log n), but each step needs only
     /// one alive entry in the local successor list — the
     /// graceful-degradation fallback when greedy finger routing is
-    /// blocked. Returns `None` when the owner is dead or a gap of
-    /// `SUCCESSOR_LIST_LEN` consecutive dead nodes severs the walk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not on the ring.
-    pub fn successor_walk<F>(&self, from: NodeId, key: u64, is_alive: F) -> Option<LookupOutcome>
-    where
-        F: Fn(NodeId) -> bool,
-    {
-        let mut pos = self
-            .position(from)
-            .unwrap_or_else(|| panic!("{from} is not on the ring"));
-        let owner_pos = self.successor_position(key);
-        let owner = self.members[owner_pos];
-        if !is_alive(owner) {
-            return None;
-        }
-        let mut path = vec![self.members[pos]];
-        // Each step advances at least one position clockwise, so n steps
-        // suffice to come full circle.
-        for _ in 0..self.len() {
-            if pos == owner_pos {
-                return Some(LookupOutcome { owner, path });
-            }
-            // First alive successor; because the owner is alive, the
-            // walk can never step past it (the entry *is* the owner when
-            // every position in between is dead).
-            let next = self.successors[pos]
-                .iter()
-                .copied()
-                .find(|&s| s == owner_pos || is_alive(self.members[s]))?;
-            pos = next;
-            path.push(self.members[pos]);
-        }
-        None
-    }
-
-    /// Allocation-free variant of [`ChordRing::successor_walk`] for hot
-    /// paths that only need the owner and hop count.
+    /// blocked. Returns `(owner, hops)`, or `None` when the owner is
+    /// dead or a gap of `SUCCESSOR_LIST_LEN` consecutive dead nodes
+    /// severs the walk.
     ///
     /// # Panics
     ///
@@ -642,53 +584,31 @@ impl ChordRing {
         }
     }
 
-    /// Masked counterpart of [`ChordRing::lookup_avoiding_hops`]:
-    /// liveness comes from a position-indexed bit mask (see
+    /// Masked counterpart of [`ChordRing::lookup_avoiding`]: liveness
+    /// comes from a position-indexed bit mask (see
     /// [`ChordRing::fill_alive_positions`]) instead of a per-node
-    /// closure, with the querying node treated as alive exactly like the
-    /// closure form's `n == from` clause. Takes identical routing
+    /// closure, with the querying node treated as alive exactly like
+    /// the closure form's `n == from` clause. Takes identical routing
     /// decisions, so for a mask filled from the same predicate the
     /// result is bit-identical.
+    ///
+    /// With `trace`, the walk's *intermediate* members (the nodes
+    /// strictly between `from` and the owner, in walk order) are
+    /// recorded into it (cleared first). The greedy step is memoryless
+    /// — the choice at a position depends only on `(position, key,
+    /// alive)`, with `from` exempted from the mask — so when `from`
+    /// itself is alive in the mask, the walk's suffix from any
+    /// intermediate `m` (at `h - i` of the walk's `h` hops) is exactly
+    /// what a fresh lookup from `m` would take: callers can cache one
+    /// traced walk as `h - i` hop answers for every intermediate, and
+    /// (on a stuck walk) a blocked answer for each. When `from` is
+    /// *not* alive the exemption breaks that suffix property, so the
+    /// trace is left empty and only the `from` answer may be cached.
     ///
     /// # Panics
     ///
     /// Panics if `from` is not on the ring.
-    pub fn lookup_avoiding_hops_masked(
-        &self,
-        from: NodeId,
-        key: u64,
-        alive: &NodeBitSet,
-    ) -> Option<(NodeId, usize)> {
-        self.lookup_masked_inner(from, key, alive, None)
-    }
-
-    /// [`lookup_avoiding_hops_masked`](Self::lookup_avoiding_hops_masked)
-    /// that additionally records the walk's *intermediate* members (the
-    /// nodes strictly between `from` and the owner, in walk order) into
-    /// `trace` (cleared first).
-    ///
-    /// The greedy step is memoryless — the choice at a position depends
-    /// only on `(position, key, alive)`, with `from` exempted from the
-    /// mask — so when `from` itself is alive in the mask, the walk's
-    /// suffix from any intermediate `m` (at `h - i` of the walk's `h`
-    /// hops) is exactly what a fresh lookup from `m` would take: callers
-    /// can cache one traced walk as `h - i` hop answers for every
-    /// intermediate, and (on a stuck walk) a blocked answer for each.
-    /// When `from` is *not* alive the exemption breaks that suffix
-    /// property, so the trace is left empty and only the `from` answer
-    /// may be cached.
-    pub fn lookup_avoiding_hops_masked_traced(
-        &self,
-        from: NodeId,
-        key: u64,
-        alive: &NodeBitSet,
-        trace: &mut Vec<NodeId>,
-    ) -> Option<(NodeId, usize)> {
-        trace.clear();
-        self.lookup_masked_inner(from, key, alive, Some(trace))
-    }
-
-    fn lookup_masked_inner(
+    pub fn lookup_masked(
         &self,
         from: NodeId,
         key: u64,
@@ -698,9 +618,12 @@ impl ChordRing {
         let from_pos = self
             .position(from)
             .unwrap_or_else(|| panic!("{from} is not on the ring"));
+        if let Some(t) = trace.as_deref_mut() {
+            t.clear();
+        }
         if trace.is_some() && !alive.contains_index(from_pos) {
             // Suffix caching is only sound when the `n == from` liveness
-            // exemption is vacuous (see the traced variant's docs).
+            // exemption is vacuous (see above).
             trace = None;
         }
         let mut pos = from_pos;
@@ -726,38 +649,8 @@ impl ChordRing {
         None
     }
 
-    /// Batched form of [`ChordRing::lookup_avoiding_hops_masked`]: one
-    /// `(from, key)` query per lane, all resolved against the same
-    /// per-trial liveness mask. Results land in `out` (cleared first),
-    /// index-aligned with `queries`.
-    ///
-    /// Each lookup takes exactly the decisions of the scalar call —
-    /// this is a grouping, not an approximation — but running a trial's
-    /// route lanes through one pass keeps the finger/successor rows and
-    /// the mask words hot across queries instead of re-faulting them in
-    /// per route between unrelated work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any queried `from` is not on the ring.
-    pub fn lookup_avoiding_hops_masked_batch(
-        &self,
-        queries: &[(NodeId, u64)],
-        alive: &NodeBitSet,
-        out: &mut Vec<Option<(NodeId, usize)>>,
-    ) {
-        out.clear();
-        out.reserve(queries.len());
-        out.extend(
-            queries
-                .iter()
-                .map(|&(from, key)| self.lookup_avoiding_hops_masked(from, key, alive)),
-        );
-    }
-
     /// Masked counterpart of [`ChordRing::successor_walk_hops`] (see
-    /// [`ChordRing::lookup_avoiding_hops_masked`] for the mask
-    /// contract).
+    /// [`ChordRing::lookup_masked`] for the mask contract).
     ///
     /// # Panics
     ///
@@ -1003,10 +896,11 @@ mod tests {
                 .map(NodeId)
                 .filter(|&n| n != owner && n != from && rng.gen::<f64>() < 0.3)
                 .collect();
-            let out = r.lookup_avoiding(from, key, |n| !dead.contains(&n));
-            let out = out.unwrap_or_else(|| panic!("trial {trial} found no route"));
-            assert_eq!(out.owner, owner);
-            assert!(out.path.iter().all(|n| !dead.contains(n)));
+            let mut path = Vec::new();
+            let out = r.lookup_avoiding(from, key, |n| !dead.contains(&n), Some(&mut path));
+            let (found, _) = out.unwrap_or_else(|| panic!("trial {trial} found no route"));
+            assert_eq!(found, owner);
+            assert!(path.iter().all(|n| !dead.contains(n)));
         }
     }
 
@@ -1016,7 +910,7 @@ mod tests {
         let key = 42u64;
         let owner = r.owner_of(key);
         let from = r.members.iter().find(|&&m| m != owner).copied().unwrap();
-        assert!(r.lookup_avoiding(from, key, |n| n != owner).is_none());
+        assert!(r.lookup_avoiding(from, key, |n| n != owner, None).is_none());
     }
 
     #[test]
@@ -1114,31 +1008,11 @@ mod tests {
     }
 
     #[test]
-    fn hops_variants_match_path_variants() {
-        let r = ring(300, 21);
-        let mut rng = StdRng::seed_from_u64(22);
-        for _ in 0..200 {
-            let key = rng.gen::<u64>();
-            let from = NodeId(rng.gen_range(0..300));
-            let dead: HashSet<NodeId> = (0..300u32)
-                .map(NodeId)
-                .filter(|&n| n != from && rng.gen::<f64>() < 0.3)
-                .collect();
-            let alive = |n: NodeId| !dead.contains(&n);
-            let full = r.lookup_avoiding(from, key, alive);
-            let lean = r.lookup_avoiding_hops(from, key, alive);
-            assert_eq!(full.as_ref().map(|o| (o.owner, o.hops())), lean);
-            let full = r.successor_walk(from, key, alive);
-            let lean = r.successor_walk_hops(from, key, alive);
-            assert_eq!(full.as_ref().map(|o| (o.owner, o.hops())), lean);
-        }
-    }
-
-    #[test]
     fn masked_lookups_match_closure_lookups() {
         let r = ring(300, 31);
         let mut rng = StdRng::seed_from_u64(32);
         let mut mask = NodeBitSet::new();
+        let mut path = Vec::new();
         for _ in 0..200 {
             let key = rng.gen::<u64>();
             let from = NodeId(rng.gen_range(0..300));
@@ -1150,10 +1024,15 @@ mod tests {
                 .collect();
             let alive = |n: NodeId| n == from || !dead.contains(&n);
             r.fill_alive_positions(|n| !dead.contains(&n), &mut mask);
-            assert_eq!(
-                r.lookup_avoiding_hops(from, key, alive),
-                r.lookup_avoiding_hops_masked(from, key, &mask)
-            );
+            let closure = r.lookup_avoiding(from, key, alive, Some(&mut path));
+            assert_eq!(closure, r.lookup_masked(from, key, &mask, None));
+            assert_eq!(closure, r.lookup_avoiding(from, key, alive, None));
+            if let Some((owner, hops)) = closure {
+                // The recorded path is the querying node plus one node
+                // per hop, ending at the owner.
+                assert_eq!(path.len(), hops + 1);
+                assert_eq!(path.last(), Some(&owner));
+            }
             assert_eq!(
                 r.successor_walk_hops(from, key, alive),
                 r.successor_walk_hops_masked(from, key, &mask)
@@ -1180,15 +1059,15 @@ mod tests {
                 .filter(|_| rng.gen::<f64>() < 0.3)
                 .collect();
             r.fill_alive_positions(|n| !dead.contains(&n), &mut mask);
-            let out = r.lookup_avoiding_hops_masked_traced(from, key, &mask, &mut trace);
-            assert_eq!(out, r.lookup_avoiding_hops_masked(from, key, &mask));
+            let out = r.lookup_masked(from, key, &mask, Some(&mut trace));
+            assert_eq!(out, r.lookup_masked(from, key, &mask, None));
             if dead.contains(&from) {
                 assert!(trace.is_empty(), "dead origin must not trace");
                 continue;
             }
             for (i, &mid) in trace.iter().enumerate() {
                 spliced += 1;
-                let fresh = r.lookup_avoiding_hops_masked(mid, key, &mask);
+                let fresh = r.lookup_masked(mid, key, &mask, None);
                 match out {
                     Some((owner, hops)) => {
                         assert!(!trace.contains(&owner), "trace holds intermediates only");

@@ -57,4 +57,4 @@ pub use churn::{ChurnEvent, ChurnModel};
 pub use node::{NodeId, NodeStatus, Role};
 pub use overlay::Overlay;
 pub use protocol::{ChordProtocol, MaintenanceEvent, ProtocolConfig};
-pub use transport::{HopDelivery, Transport};
+pub use transport::{HopCtx, HopDelivery, Transport};

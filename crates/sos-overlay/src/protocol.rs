@@ -160,10 +160,7 @@ impl ChordProtocol {
         // successor in that case — stabilization corrects the position
         // within a few periods (weakly consistent join, as in Chord's
         // handling of concurrent operations).
-        let succ = self
-            .route_successor(via, id)
-            .map(|(s, _)| s)
-            .unwrap_or(via);
+        let succ = self.lookup(via, id).unwrap_or(via);
         self.nodes.insert(
             id,
             ProtoNode {
@@ -275,31 +272,69 @@ impl ChordProtocol {
     /// key — equal to [`oracle_successor`](Self::oracle_successor) once
     /// converged.
     pub fn lookup(&self, from: u64, key: u64) -> Option<u64> {
-        self.route_successor(from, key).map(|(owner, _)| owner)
+        self.lookup_with_hops(from, key, None).map(|(owner, _)| owner)
     }
 
     /// Like [`lookup`](Self::lookup) but also reports the hop count the
     /// iterative routing took.
-    pub fn lookup_with_hops(&self, from: u64, key: u64) -> Option<(u64, usize)> {
-        self.route_successor(from, key)
-    }
-
-    /// Fault-aware lookup: like [`lookup_with_hops`], but the fault
-    /// plane is consulted on every routing step. Benignly crashed nodes
-    /// (per [`FaultPlan::is_crashed`]) are treated as dead in addition
-    /// to ring liveness, and each step draws a Byzantine-misroute
-    /// decision — a misrouted step wastes a hop without making progress
-    /// (the query went to the wrong node and must be reissued), so heavy
-    /// misrouting can exhaust the hop budget and fail the lookup.
     ///
-    /// [`lookup_with_hops`]: Self::lookup_with_hops
-    pub fn lookup_with_hops_faulty(
+    /// With a fault plan the fault plane is consulted on every routing
+    /// step: benignly crashed nodes (per [`FaultPlan::is_crashed`]) are
+    /// treated as dead in addition to ring liveness, and each step draws
+    /// a Byzantine-misroute decision — a misrouted step wastes a hop
+    /// without making progress (the query went to the wrong node and
+    /// must be reissued), so heavy misrouting can exhaust the hop budget
+    /// and fail the lookup. With `plan = None` it draws nothing.
+    pub fn lookup_with_hops(
         &self,
         from: u64,
         key: u64,
-        plan: &FaultPlan,
+        plan: Option<&FaultPlan>,
     ) -> Option<(u64, usize)> {
-        self.route_successor_with(from, key, Some(plan))
+        self.lookups_issued.set(self.lookups_issued.get() + 1);
+        let mut current = from;
+        let mut hops = 0usize;
+        // n nodes is a hard bound for greedy progress; stale pointers can
+        // cause short non-progress bounces, so allow slack.
+        let max_hops = 2 * self.nodes.len() + ID_BITS;
+        for _ in 0..max_hops {
+            // Byzantine misroute: the step went to the wrong node and
+            // has to be reissued — a wasted hop, no progress.
+            if let Some(p) = plan {
+                if p.draw_misroute() {
+                    hops += 1;
+                    continue;
+                }
+            }
+            match self.first_usable_successor(current, plan) {
+                Some(succ) => {
+                    if in_half_open_interval(current, succ, key) || succ == current {
+                        return Some((succ, hops + 1));
+                    }
+                    match self.closest_preceding_usable(current, key, plan) {
+                        Some(next) if next != current => current = next,
+                        // No finger makes progress: fall through the
+                        // successor.
+                        _ => current = succ,
+                    }
+                }
+                None => {
+                    // The node's successor list died entirely; detour via
+                    // any alive finger (no ownership claim possible from
+                    // a blind node). Progress-toward-key fingers first.
+                    let next = self
+                        .closest_preceding_usable(current, key, plan)
+                        .or_else(|| self.closest_usable_finger(current, plan))?;
+                    if next == current {
+                        return None;
+                    }
+                    current = next;
+                }
+            }
+            hops += 1;
+        }
+        // Routing loop among stale pointers — report the best guess.
+        self.first_usable_successor(current, plan).map(|o| (o, hops))
     }
 
     /// Degraded-mode delivery: abandon finger-table routing and walk
@@ -420,67 +455,6 @@ impl ChordProtocol {
         best.map(|(_, c)| c)
     }
 
-    /// Iterative find-successor over current (possibly stale) state.
-    fn route_successor(&self, from: u64, key: u64) -> Option<(u64, usize)> {
-        self.route_successor_with(from, key, None)
-    }
-
-    /// Iterative find-successor, optionally consulting the fault plane
-    /// on every step (crashed nodes unusable; Byzantine misroute wastes
-    /// the step). With `plan = None` this is exactly the fault-unaware
-    /// routing path.
-    fn route_successor_with(
-        &self,
-        from: u64,
-        key: u64,
-        plan: Option<&FaultPlan>,
-    ) -> Option<(u64, usize)> {
-        self.lookups_issued.set(self.lookups_issued.get() + 1);
-        let mut current = from;
-        let mut hops = 0usize;
-        // n nodes is a hard bound for greedy progress; stale pointers can
-        // cause short non-progress bounces, so allow slack.
-        let max_hops = 2 * self.nodes.len() + ID_BITS;
-        for _ in 0..max_hops {
-            // Byzantine misroute: the step went to the wrong node and
-            // has to be reissued — a wasted hop, no progress.
-            if let Some(p) = plan {
-                if p.draw_misroute() {
-                    hops += 1;
-                    continue;
-                }
-            }
-            match self.first_usable_successor(current, plan) {
-                Some(succ) => {
-                    if in_half_open_interval(current, succ, key) || succ == current {
-                        return Some((succ, hops + 1));
-                    }
-                    match self.closest_preceding_usable(current, key, plan) {
-                        Some(next) if next != current => current = next,
-                        // No finger makes progress: fall through the
-                        // successor.
-                        _ => current = succ,
-                    }
-                }
-                None => {
-                    // The node's successor list died entirely; detour via
-                    // any alive finger (no ownership claim possible from
-                    // a blind node). Progress-toward-key fingers first.
-                    let next = self
-                        .closest_preceding_usable(current, key, plan)
-                        .or_else(|| self.closest_usable_finger(current, plan))?;
-                    if next == current {
-                        return None;
-                    }
-                    current = next;
-                }
-            }
-            hops += 1;
-        }
-        // Routing loop among stale pointers — report the best guess.
-        self.first_usable_successor(current, plan).map(|o| (o, hops))
-    }
-
     fn closest_preceding_usable(
         &self,
         at: u64,
@@ -586,7 +560,7 @@ impl ChordProtocol {
         }
         let k = node.next_finger;
         let target = id.wrapping_add(1u64 << k);
-        if let Some((owner, _)) = self.route_successor(id, target) {
+        if let Some(owner) = self.lookup(id, target) {
             if let Some(node) = self.nodes.get_mut(&id) {
                 node.fingers[k] = owner;
             }

@@ -10,7 +10,7 @@
 
 use crate::bitset::NodeBitSet;
 use crate::chord::ChordRing;
-use crate::node::NodeId;
+use crate::node::{NodeId, Role};
 use crate::overlay::Overlay;
 use crate::protocol::ChordProtocol;
 use sos_faults::{FaultPlan, HopIncident, RetryPolicy};
@@ -35,9 +35,8 @@ impl DeliveryOutcome {
     }
 }
 
-/// Result of one fault-aware hop delivery
-/// ([`Transport::deliver_with`]): the outcome plus what the fault plane
-/// and the retry loop did along the way.
+/// Result of one hop delivery ([`Transport::deliver`]): the outcome
+/// plus what the fault plane and the retry loop did along the way.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HopDelivery {
     /// Final outcome after all attempts.
@@ -54,6 +53,41 @@ impl HopDelivery {
     /// Whether the hop ultimately succeeded.
     pub fn is_delivered(&self) -> bool {
         self.outcome.is_delivered()
+    }
+}
+
+/// Everything a hop delivery reads besides the transport and the hop's
+/// endpoints.
+#[derive(Debug, Clone, Copy)]
+pub struct HopCtx<'a> {
+    /// The (possibly damaged) overlay the hop runs on.
+    pub overlay: &'a Overlay,
+    /// The trial's fault plane; `None` delivers fault-free in one
+    /// attempt and zero ticks.
+    pub faults: Option<&'a FaultPlan>,
+    /// How failed attempts are retried (only consulted with a plan).
+    pub retry: &'a RetryPolicy,
+    /// Precomputed ring-position liveness mask of the Chord substrate
+    /// (see [`Transport::refresh_alive_positions`]); `None` derives
+    /// liveness per node through the overlay. The mask must encode the
+    /// predicate the per-node path evaluates — the node is good and,
+    /// with a plan, not benignly crashed — in which case the routing
+    /// decisions are bit-identical.
+    pub alive: Option<&'a NodeBitSet>,
+}
+
+/// The single-attempt, fault-free retry policy [`HopCtx::new`] uses.
+const NO_RETRY: RetryPolicy = RetryPolicy::none();
+
+impl<'a> HopCtx<'a> {
+    /// A fault-free, unmasked hop context on `overlay`.
+    pub fn new(overlay: &'a Overlay) -> Self {
+        HopCtx {
+            overlay,
+            faults: None,
+            retry: &NO_RETRY,
+            alive: None,
+        }
     }
 }
 
@@ -78,90 +112,18 @@ pub enum Transport {
 }
 
 impl Transport {
-    /// Delivers one logical hop from `from` to `to` on `overlay`.
+    /// Delivers one logical hop from `from` to `to`.
     ///
     /// The sender `from` is assumed functional (it is the node currently
     /// holding the message); the destination must be good; under
     /// [`Transport::Chord`] every intermediate node must be good as well.
     ///
-    /// # Panics
-    ///
-    /// Panics (Chord transport) if either endpoint is an overlay node
-    /// missing from the ring — the ring must cover all overlay nodes.
-    pub fn deliver(&self, overlay: &Overlay, from: NodeId, to: NodeId) -> DeliveryOutcome {
-        self.deliver_hint(overlay, from, to, None)
-    }
-
-    /// [`deliver`](Self::deliver) with an optional precomputed
-    /// ring-position liveness mask (see
-    /// [`ChordRing::fill_alive_positions`]). The mask must have been
-    /// filled from the same liveness predicate the closure path would
-    /// use — for the fault-free path, "the node is good" — in which
-    /// case the routing decisions are bit-identical; the trial engine
-    /// fills it once per trial and amortizes it across the whole route
-    /// batch.
-    pub fn deliver_hint(
-        &self,
-        overlay: &Overlay,
-        from: NodeId,
-        to: NodeId,
-        alive: Option<&NodeBitSet>,
-    ) -> DeliveryOutcome {
-        if !overlay.is_good(to) {
-            return DeliveryOutcome::Blocked;
-        }
-        match self {
-            Transport::Direct => DeliveryOutcome::Delivered { hops: 1 },
-            Transport::Chord(ring) => {
-                // Filters are not ring members; final hop is direct.
-                if overlay.role(to) == crate::node::Role::Filter {
-                    return DeliveryOutcome::Delivered { hops: 1 };
-                }
-                let key = ring
-                    .id_of(to)
-                    .unwrap_or_else(|| panic!("{to} is not on the Chord ring"));
-                let outcome = match alive {
-                    Some(mask) => ring.lookup_avoiding_hops_masked(from, key, mask),
-                    None => ring.lookup_avoiding_hops(from, key, |n| {
-                        n == from || overlay.is_good(n)
-                    }),
-                };
-                match outcome {
-                    Some((owner, hops)) if owner == to => DeliveryOutcome::Delivered {
-                        hops: hops.max(1),
-                    },
-                    _ => DeliveryOutcome::Blocked,
-                }
-            }
-            Transport::Protocol(proto) => {
-                if overlay.role(to) == crate::node::Role::Filter {
-                    return DeliveryOutcome::Delivered { hops: 1 };
-                }
-                let (Some(from_id), Some(to_id)) =
-                    (proto.chord_id_of(from), proto.chord_id_of(to))
-                else {
-                    return DeliveryOutcome::Blocked;
-                };
-                match proto.lookup_with_hops(from_id, to_id) {
-                    Some((owner, hops)) if owner == to_id => {
-                        DeliveryOutcome::Delivered { hops: hops.max(1) }
-                    }
-                    _ => DeliveryOutcome::Blocked,
-                }
-            }
-        }
-    }
-
-    /// Fault-aware delivery with retry: like [`deliver`](Self::deliver),
-    /// but every attempt consults the fault plane and failed attempts
-    /// are retried per `retry` (exponential backoff in simulated ticks,
-    /// bounded by the per-route deadline budget).
-    ///
-    /// With `faults = None` this is *exactly* [`deliver`] — one attempt,
-    /// no fault draws, zero ticks — which is how zero-fault runs stay
-    /// bit-identical to the fault-unaware code path.
-    ///
-    /// Fault semantics:
+    /// Without a fault plan (`hop.faults == None`) this is one attempt
+    /// in zero ticks with no incidents, the paper's fault-unaware hop.
+    /// With a plan every attempt consults the fault plane, benignly
+    /// crashed nodes are excluded from substrate routing, and failed
+    /// attempts are retried per `hop.retry` (exponential backoff in
+    /// simulated ticks, bounded by the per-route deadline budget):
     ///
     /// - **Compromised destination** — blocked, no incident (that is the
     ///   attack, not a fault, and no amount of retrying helps).
@@ -176,82 +138,54 @@ impl Transport {
     ///   an exhausted hop budget fails the attempt, and a fresh attempt
     ///   redraws the misroute schedule.
     ///
-    /// [`deliver`]: Self::deliver
-    pub fn deliver_with(
-        &self,
-        overlay: &Overlay,
-        from: NodeId,
-        to: NodeId,
-        faults: Option<&FaultPlan>,
-        retry: &RetryPolicy,
-    ) -> HopDelivery {
-        self.deliver_with_hint(overlay, from, to, faults, retry, None)
-    }
-
-    /// [`deliver_with`](Self::deliver_with) with an optional
-    /// precomputed ring-position liveness mask. When a fault plan is
-    /// active the mask must encode "good **and** not benignly crashed"
-    /// (the predicate [`attempt_via_substrate`](Self::deliver_with)
-    /// uses); without a plan, plain "good". The trial engine owns that
-    /// contract — it refreshes the mask once per trial, after attack
-    /// damage and fault-plan creation.
-    pub fn deliver_with_hint(
-        &self,
-        overlay: &Overlay,
-        from: NodeId,
-        to: NodeId,
-        faults: Option<&FaultPlan>,
-        retry: &RetryPolicy,
-        alive: Option<&NodeBitSet>,
-    ) -> HopDelivery {
-        self.deliver_with_hint_priced(overlay, from, to, faults, retry, alive, None)
-    }
-
-    /// [`deliver_with_hint`](Self::deliver_with_hint) with an optional
-    /// substrate-pricing override: when `substrate` is `Some`, each
-    /// delivery attempt's routability check calls the closure instead
-    /// of the built-in substrate walk.
+    /// When `substrate` is `Some`, each attempt's routability check
+    /// calls it instead of the built-in substrate walk. The caller owns
+    /// the equivalence contract: it must return *exactly* what the
+    /// built-in attempt would (the trial engine plugs a per-trial hop
+    /// memo in here — sound for Chord with a trial-stable liveness
+    /// mask, where an attempt is a pure function of `(from, to, mask)`),
+    /// so it must not be used for substrates whose attempts draw
+    /// randomness (Protocol misrouting re-rolls per attempt).
     ///
-    /// The caller owns the equivalence contract: the closure must
-    /// return *exactly* what the built-in attempt would (it is how the
-    /// trial engine plugs a per-trial hop memo under the fault ladder —
-    /// sound for Chord with a trial-stable liveness mask, where the
-    /// attempt is a pure function of `(from, to, mask)`). It must not
-    /// be used for substrates whose attempts draw randomness (Protocol
-    /// misrouting re-rolls per attempt).
-    #[allow(clippy::too_many_arguments)]
-    pub fn deliver_with_hint_priced(
+    /// # Panics
+    ///
+    /// Panics (Chord transport) if either endpoint is an overlay node
+    /// missing from the ring — the ring must cover all overlay nodes.
+    pub fn deliver(
         &self,
-        overlay: &Overlay,
+        hop: &HopCtx<'_>,
         from: NodeId,
         to: NodeId,
-        faults: Option<&FaultPlan>,
-        retry: &RetryPolicy,
-        alive: Option<&NodeBitSet>,
         mut substrate: Option<&mut dyn FnMut(NodeId, NodeId) -> DeliveryOutcome>,
     ) -> HopDelivery {
-        let Some(plan) = faults else {
-            return HopDelivery {
-                outcome: self.deliver_hint(overlay, from, to, alive),
-                attempts: 1,
-                ticks: 0,
-                incidents: Vec::new(),
-            };
+        let mut attempt = || match substrate.as_mut() {
+            Some(price) => price(from, to),
+            None => self.route_substrate(hop, from, to, false),
         };
         let mut incidents = Vec::new();
-        if !overlay.is_good(to) {
+        let blocked = |incidents| HopDelivery {
+            outcome: DeliveryOutcome::Blocked,
+            attempts: 1,
+            ticks: 0,
+            incidents,
+        };
+        if !hop.overlay.is_good(to) {
             // Compromised: not a fault, not retryable.
-            return HopDelivery { outcome: DeliveryOutcome::Blocked, attempts: 1, ticks: 0, incidents };
+            return blocked(incidents);
         }
+        let Some(plan) = hop.faults else {
+            return HopDelivery { outcome: attempt(), attempts: 1, ticks: 0, incidents };
+        };
         if plan.is_crashed(to.0) {
             incidents.push(HopIncident::CrashedDestination);
-            return HopDelivery { outcome: DeliveryOutcome::Blocked, attempts: 1, ticks: 0, incidents };
+            return blocked(incidents);
         }
         // A blocked substrate route only varies between attempts when
         // misrouting re-rolls the lookup; otherwise it is deterministic
         // for the trial and retrying it is pointless.
         let substrate_retryable = matches!(self, Transport::Protocol(_))
             && plan.config().misroute_rate > 0.0;
+        let retry = hop.retry;
         let mut ticks = 0u64;
         let mut attempts = 0u32;
         while attempts < retry.max_attempts {
@@ -265,20 +199,16 @@ impl Transport {
                 ticks += backoff;
                 incidents.push(HopIncident::Retry { attempt: attempts, backoff });
             }
-            let hop = plan.draw_hop();
-            if hop.delay_ticks > 0 {
-                ticks += hop.delay_ticks;
-                incidents.push(HopIncident::Delay { ticks: hop.delay_ticks });
+            let drawn = plan.draw_hop();
+            if drawn.delay_ticks > 0 {
+                ticks += drawn.delay_ticks;
+                incidents.push(HopIncident::Delay { ticks: drawn.delay_ticks });
             }
-            if hop.lost {
+            if drawn.lost {
                 incidents.push(HopIncident::Loss { attempt: attempts });
                 continue;
             }
-            let attempt = match substrate.as_mut() {
-                Some(price) => price(from, to),
-                None => self.attempt_via_substrate(overlay, from, to, plan, alive),
-            };
-            match attempt {
+            match attempt() {
                 DeliveryOutcome::Delivered { hops } => {
                     let slow = plan.slow_penalty(to.0);
                     if slow > 0 {
@@ -304,138 +234,72 @@ impl Transport {
         HopDelivery { outcome: DeliveryOutcome::Blocked, attempts, ticks, incidents }
     }
 
-    /// One substrate delivery attempt under the fault plane: the
-    /// fault-unaware [`deliver`](Self::deliver) path with benignly
-    /// crashed nodes additionally excluded from routing, and (Protocol)
-    /// per-step misroute draws. The destination has already been
-    /// checked good and not crashed.
-    fn attempt_via_substrate(
-        &self,
-        overlay: &Overlay,
-        from: NodeId,
-        to: NodeId,
-        plan: &FaultPlan,
-        alive: Option<&NodeBitSet>,
-    ) -> DeliveryOutcome {
-        match self {
-            Transport::Direct => DeliveryOutcome::Delivered { hops: 1 },
-            Transport::Chord(ring) => {
-                if overlay.role(to) == crate::node::Role::Filter {
-                    return DeliveryOutcome::Delivered { hops: 1 };
-                }
-                let key = ring
-                    .id_of(to)
-                    .unwrap_or_else(|| panic!("{to} is not on the Chord ring"));
-                let outcome = match alive {
-                    Some(mask) => ring.lookup_avoiding_hops_masked(from, key, mask),
-                    None => ring.lookup_avoiding_hops(from, key, |n| {
-                        n == from || (overlay.is_good(n) && !plan.is_crashed(n.0))
-                    }),
-                };
-                match outcome {
-                    Some((owner, hops)) if owner == to => DeliveryOutcome::Delivered {
-                        hops: hops.max(1),
-                    },
-                    _ => DeliveryOutcome::Blocked,
-                }
-            }
-            Transport::Protocol(proto) => {
-                if overlay.role(to) == crate::node::Role::Filter {
-                    return DeliveryOutcome::Delivered { hops: 1 };
-                }
-                let (Some(from_id), Some(to_id)) =
-                    (proto.chord_id_of(from), proto.chord_id_of(to))
-                else {
-                    return DeliveryOutcome::Blocked;
-                };
-                match proto.lookup_with_hops_faulty(from_id, to_id, plan) {
-                    Some((owner, hops)) if owner == to_id => {
-                        DeliveryOutcome::Delivered { hops: hops.max(1) }
-                    }
-                    _ => DeliveryOutcome::Blocked,
-                }
-            }
-        }
-    }
-
     /// Degraded-mode delivery: abandon finger-table routing and walk
     /// successor lists toward the destination — the first
-    /// graceful-degradation stage after [`deliver_with`] exhausts its
-    /// retries. Slower (O(n) underlay hops) but immune to stale or
-    /// Byzantine fingers. [`Transport::Direct`] has no alternate
-    /// substrate path, so it is always `Blocked` there; filter
-    /// destinations use a direct final hop and likewise cannot be
-    /// walked to.
-    ///
-    /// [`deliver_with`]: Self::deliver_with
-    pub fn deliver_degraded(
-        &self,
-        overlay: &Overlay,
-        from: NodeId,
-        to: NodeId,
-        faults: Option<&FaultPlan>,
-    ) -> DeliveryOutcome {
-        self.deliver_degraded_hint(overlay, from, to, faults, None)
-    }
-
-    /// [`deliver_degraded`](Self::deliver_degraded) with an optional
-    /// precomputed ring-position liveness mask (same contract as
-    /// [`deliver_with_hint`](Self::deliver_with_hint)).
-    pub fn deliver_degraded_hint(
-        &self,
-        overlay: &Overlay,
-        from: NodeId,
-        to: NodeId,
-        faults: Option<&FaultPlan>,
-        alive: Option<&NodeBitSet>,
-    ) -> DeliveryOutcome {
-        if !overlay.is_good(to) {
+    /// graceful-degradation stage after [`deliver`](Self::deliver)
+    /// exhausts its retries. Slower (O(n) underlay hops) but immune to
+    /// stale or Byzantine fingers. [`Transport::Direct`] has no
+    /// alternate substrate path, so it is always `Blocked` there;
+    /// filter destinations use a direct final hop and likewise cannot
+    /// be walked to. Draws nothing from the fault plane; `hop.retry` is
+    /// not consulted.
+    pub fn deliver_degraded(&self, hop: &HopCtx<'_>, from: NodeId, to: NodeId) -> DeliveryOutcome {
+        if !hop.overlay.is_good(to) || hop.faults.is_some_and(|p| p.is_crashed(to.0)) {
             return DeliveryOutcome::Blocked;
         }
-        if let Some(plan) = faults {
-            if plan.is_crashed(to.0) {
-                return DeliveryOutcome::Blocked;
-            }
-        }
-        let crashed = |n: NodeId| faults.is_some_and(|p| p.is_crashed(n.0));
-        match self {
-            Transport::Direct => DeliveryOutcome::Blocked,
+        self.route_substrate(hop, from, to, true)
+    }
+
+    /// One substrate attempt toward a good, uncrashed destination:
+    /// finger routing, or with `walk` the successor-list walk. Usable
+    /// nodes are good and (with a plan) not crashed, the sender counts
+    /// as usable, and the Protocol lookup draws its per-step misroutes
+    /// from the plan. The hop succeeds iff the walk ends at `to`.
+    fn route_substrate(
+        &self,
+        hop: &HopCtx<'_>,
+        from: NodeId,
+        to: NodeId,
+        walk: bool,
+    ) -> DeliveryOutcome {
+        let overlay = hop.overlay;
+        let reached = match self {
+            // Filters are not ring members; the final hop is direct.
+            Transport::Direct => return direct_or_blocked(walk),
+            _ if overlay.role(to) == Role::Filter => return direct_or_blocked(walk),
             Transport::Chord(ring) => {
-                if overlay.role(to) == crate::node::Role::Filter {
-                    return DeliveryOutcome::Blocked;
-                }
                 let key = ring
                     .id_of(to)
                     .unwrap_or_else(|| panic!("{to} is not on the Chord ring"));
-                let outcome = match alive {
-                    Some(mask) => ring.successor_walk_hops_masked(from, key, mask),
-                    None => ring.successor_walk_hops(from, key, |n| {
-                        n == from || (overlay.is_good(n) && !crashed(n))
-                    }),
+                let usable = |n: NodeId| {
+                    n == from
+                        || (overlay.is_good(n) && hop.faults.is_none_or(|p| !p.is_crashed(n.0)))
                 };
-                match outcome {
-                    Some((owner, hops)) if owner == to => DeliveryOutcome::Delivered {
-                        hops: hops.max(1),
-                    },
-                    _ => DeliveryOutcome::Blocked,
-                }
+                let outcome = match (hop.alive, walk) {
+                    (Some(mask), false) => ring.lookup_masked(from, key, mask, None),
+                    (None, false) => ring.lookup_avoiding(from, key, usable, None),
+                    (Some(mask), true) => ring.successor_walk_hops_masked(from, key, mask),
+                    (None, true) => ring.successor_walk_hops(from, key, usable),
+                };
+                outcome.map(|(owner, hops)| (owner == to, hops))
             }
             Transport::Protocol(proto) => {
-                if overlay.role(to) == crate::node::Role::Filter {
-                    return DeliveryOutcome::Blocked;
-                }
                 let (Some(from_id), Some(to_id)) =
                     (proto.chord_id_of(from), proto.chord_id_of(to))
                 else {
                     return DeliveryOutcome::Blocked;
                 };
-                match proto.successor_walk(from_id, to_id, faults) {
-                    Some((owner, hops)) if owner == to_id => {
-                        DeliveryOutcome::Delivered { hops: hops.max(1) }
-                    }
-                    _ => DeliveryOutcome::Blocked,
-                }
+                let outcome = if walk {
+                    proto.successor_walk(from_id, to_id, hop.faults)
+                } else {
+                    proto.lookup_with_hops(from_id, to_id, hop.faults)
+                };
+                outcome.map(|(owner, hops)| (owner == to_id, hops))
             }
+        };
+        match reached {
+            Some((true, hops)) => DeliveryOutcome::Delivered { hops: hops.max(1) },
+            _ => DeliveryOutcome::Blocked,
         }
     }
 
@@ -471,8 +335,8 @@ impl Transport {
     /// unused and left untouched.
     ///
     /// Call once per trial after attack damage and fault-plan creation,
-    /// then pass the mask to the `_hint` delivery variants for the
-    /// trial's whole route batch.
+    /// then pass the mask as [`HopCtx::alive`] for the trial's whole
+    /// route batch.
     pub fn refresh_alive_positions(
         &self,
         overlay: &Overlay,
@@ -504,6 +368,16 @@ impl Transport {
     }
 }
 
+/// A hop that bypasses the substrate: one direct hop, or no successor
+/// walk at all.
+fn direct_or_blocked(walk: bool) -> DeliveryOutcome {
+    if walk {
+        DeliveryOutcome::Blocked
+    } else {
+        DeliveryOutcome::Delivered { hops: 1 }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,6 +385,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sos_core::{MappingDegree, Scenario, SystemParams};
+
+    /// A fault-free, unmasked delivery's outcome.
+    fn plain(t: &Transport, overlay: &Overlay, from: NodeId, to: NodeId) -> DeliveryOutcome {
+        t.deliver(&HopCtx::new(overlay), from, to, None).outcome
+    }
 
     fn setup(seed: u64) -> (Overlay, ChordRing) {
         let scenario = Scenario::builder()
@@ -532,10 +411,10 @@ mod tests {
         let (mut overlay, _) = setup(1);
         let from = overlay.layer_members(1)[0];
         let to = overlay.neighbors(from)[0];
-        assert!(Transport::Direct.deliver(&overlay, from, to).is_delivered());
+        assert!(plain(&Transport::Direct, &overlay, from, to).is_delivered());
         overlay.set_status(to, NodeStatus::Congested);
         assert_eq!(
-            Transport::Direct.deliver(&overlay, from, to),
+            plain(&Transport::Direct, &overlay, from, to),
             DeliveryOutcome::Blocked
         );
     }
@@ -546,7 +425,7 @@ mod tests {
         let transport = Transport::Chord(ring);
         let from = overlay.layer_members(1)[0];
         for &to in overlay.neighbors(from) {
-            let out = transport.deliver(&overlay, from, to);
+            let out = plain(&transport, &overlay, from, to);
             assert!(out.is_delivered(), "{from} -> {to}: {out:?}");
         }
     }
@@ -564,7 +443,7 @@ mod tests {
             }
         }
         let transport = Transport::Chord(ring);
-        let out = transport.deliver(&overlay, from, to);
+        let out = plain(&transport, &overlay, from, to);
         // Either the ring happens to connect them directly (fingers), or
         // the hop is blocked; both are legal, but with 400 nodes a direct
         // finger to an arbitrary neighbor is rare.
@@ -580,7 +459,7 @@ mod tests {
         let last_layer = overlay.layer_count();
         let servlet = overlay.layer_members(last_layer)[0];
         let filter = overlay.neighbors(servlet)[0];
-        let out = transport.deliver(&overlay, servlet, filter);
+        let out = plain(&transport, &overlay, servlet, filter);
         assert_eq!(out, DeliveryOutcome::Delivered { hops: 1 });
     }
 
@@ -628,14 +507,14 @@ mod tests {
         assert_eq!(transport.label(), "protocol");
         let from = overlay.layer_members(1)[0];
         for &to in overlay.neighbors(from) {
-            let out = transport.deliver(&overlay, from, to);
+            let out = plain(&transport, &overlay, from, to);
             assert!(out.is_delivered(), "{from} -> {to}: {out:?}");
         }
         // Servlet → filter hop stays direct.
         let servlet = overlay.layer_members(overlay.layer_count())[0];
         let filter = overlay.neighbors(servlet)[0];
         assert_eq!(
-            transport.deliver(&overlay, servlet, filter),
+            plain(&transport, &overlay, servlet, filter),
             DeliveryOutcome::Delivered { hops: 1 }
         );
     }
@@ -647,14 +526,17 @@ mod tests {
         let from = overlay.layer_members(1)[0];
         let to = overlay.neighbors(from)[0];
         for retry in [RetryPolicy::none(), RetryPolicy::new(5, 2, 100)] {
-            let d = transport.deliver_with(&overlay, from, to, None, &retry);
-            assert_eq!(d.outcome, transport.deliver(&overlay, from, to));
+            let hop = HopCtx { retry: &retry, ..HopCtx::new(&overlay) };
+            let d = transport.deliver(&hop, from, to, None);
+            assert_eq!(d.outcome, plain(&transport, &overlay, from, to));
             assert_eq!(d.attempts, 1);
             assert_eq!(d.ticks, 0);
             assert!(d.incidents.is_empty());
         }
         overlay.set_status(to, NodeStatus::Congested);
-        let d = transport.deliver_with(&overlay, from, to, None, &RetryPolicy::new(5, 2, 100));
+        let retry = RetryPolicy::new(5, 2, 100);
+        let hop = HopCtx { retry: &retry, ..HopCtx::new(&overlay) };
+        let d = transport.deliver(&hop, from, to, None);
         assert_eq!(d.outcome, DeliveryOutcome::Blocked);
         assert!(d.incidents.is_empty(), "compromise is not a fault");
     }
@@ -672,10 +554,20 @@ mod tests {
         let mut saw_recovery = false;
         for trial in 0..64 {
             let plan = sos_faults::FaultPlan::new(&cfg, trial);
-            let once = transport.deliver_with(&overlay, from, to, Some(&plan), &RetryPolicy::none());
+            let once = transport.deliver(
+                &HopCtx { faults: Some(&plan), ..HopCtx::new(&overlay) },
+                from,
+                to,
+                None,
+            );
             let plan = sos_faults::FaultPlan::new(&cfg, trial);
-            let many =
-                transport.deliver_with(&overlay, from, to, Some(&plan), &RetryPolicy::new(8, 1, 10_000));
+            let retry = RetryPolicy::new(8, 1, 10_000);
+            let many = transport.deliver(
+                &HopCtx { faults: Some(&plan), retry: &retry, ..HopCtx::new(&overlay) },
+                from,
+                to,
+                None,
+            );
             if !once.is_delivered() && many.is_delivered() {
                 assert!(many.attempts > 1);
                 assert!(many.incidents.iter().any(|i| matches!(i, HopIncident::Loss { .. })));
@@ -700,12 +592,12 @@ mod tests {
             .iter()
             .find(|n| plan.is_crashed(n.0))
             .expect("50% crash rate must hit a neighbor");
-        let d = Transport::Direct.deliver_with(
-            &overlay,
+        let retry = RetryPolicy::new(6, 2, 10_000);
+        let d = Transport::Direct.deliver(
+            &HopCtx { faults: Some(&plan), retry: &retry, ..HopCtx::new(&overlay) },
             from,
             to,
-            Some(&plan),
-            &RetryPolicy::new(6, 2, 10_000),
+            None,
         );
         assert_eq!(d.outcome, DeliveryOutcome::Blocked);
         assert_eq!(d.attempts, 1, "persistent fault: retrying is pointless");
@@ -722,12 +614,12 @@ mod tests {
         let plan = FaultPlan::new(&cfg, 0);
         // Unlimited attempts but a tiny deadline: the budget must stop
         // the loop long before 1000 attempts.
-        let d = Transport::Direct.deliver_with(
-            &overlay,
+        let retry = RetryPolicy::new(1000, 4, 20);
+        let d = Transport::Direct.deliver(
+            &HopCtx { faults: Some(&plan), retry: &retry, ..HopCtx::new(&overlay) },
             from,
             to,
-            Some(&plan),
-            &RetryPolicy::new(1000, 4, 20),
+            None,
         );
         assert_eq!(d.outcome, DeliveryOutcome::Blocked);
         assert!(d.attempts < 10, "deadline must cap attempts, got {}", d.attempts);
@@ -752,14 +644,15 @@ mod tests {
             .unwrap();
         let cfg = FaultConfig::none().loss(0.01).seed(2);
         let plan = FaultPlan::new(&cfg, 0);
-        let walked = transport.deliver_degraded(&overlay, from, to, Some(&plan));
+        let hop = HopCtx { faults: Some(&plan), ..HopCtx::new(&overlay) };
+        let walked = transport.deliver_degraded(&hop, from, to);
         assert!(
             walked.is_delivered(),
             "successor walk on a clean overlay must reach {to}"
         );
         // Direct transport has no degraded mode.
         assert_eq!(
-            Transport::Direct.deliver_degraded(&overlay, from, to, Some(&plan)),
+            Transport::Direct.deliver_degraded(&hop, from, to),
             DeliveryOutcome::Blocked
         );
     }
@@ -795,7 +688,7 @@ mod tests {
         // Overlay status is still Good, but the ring lost the node: the
         // stale-infrastructure failure mode.
         assert_eq!(
-            transport.deliver(&overlay, from, to),
+            plain(&transport, &overlay, from, to),
             DeliveryOutcome::Blocked
         );
     }

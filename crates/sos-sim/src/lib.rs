@@ -85,7 +85,6 @@ pub use sweep::{
 pub use flow::{FlowModel, FlowResult, FlowSimulation};
 pub use repair::{RepairConfig, RepairSimulation, RepairTimeline};
 pub use routing::{
-    route_message, route_message_with, RouteIncident, RouteIncidentKind, RouteResult,
-    RoutingPolicy,
+    route, RouteCtx, RouteIncident, RouteIncidentKind, RouteResult, RouteScratch, RoutingPolicy,
 };
 pub use timing::{measure_latency, LatencyDistribution};

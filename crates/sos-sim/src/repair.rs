@@ -15,7 +15,7 @@
 //!   repaired node it knows about (knowledge stays valid); only
 //!   randomly-congested repairs stick, so `P_S(t)` plateaus.
 
-use crate::routing::{route_message_into, RouteScratch, RoutingPolicy};
+use crate::routing::{route, RouteCtx, RouteScratch, RoutingPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sos_attack::{OneBurstAttacker, SuccessiveAttacker};
@@ -202,18 +202,13 @@ impl RepairSimulation {
             for step in 0..=steps {
                 // Measure.
                 let mut delivered = 0u64;
+                let ctx = RouteCtx {
+                    faults: plan.as_ref(),
+                    retry: &self.retry,
+                    ..RouteCtx::new(&overlay, &Transport::Direct, RoutingPolicy::RandomGood)
+                };
                 for _ in 0..self.routes_per_step {
-                    if route_message_into(
-                        &overlay,
-                        &Transport::Direct,
-                        RoutingPolicy::RandomGood,
-                        plan.as_ref(),
-                        &self.retry,
-                        &mut rng,
-                        &mut scratch,
-                    )
-                    .delivered
-                    {
+                    if route(&ctx, &mut rng, &mut scratch).delivered {
                         delivered += 1;
                     }
                 }

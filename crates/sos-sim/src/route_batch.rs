@@ -1,7 +1,7 @@
 //! Batched structure-of-arrays route evaluation.
 //!
 //! The scalar trial loop routed `routes_per_trial` messages one at a
-//! time through [`route_message_hint`](crate::routing::route_message_hint), touching the per-trial shared
+//! time through [`route`](crate::routing::route), touching the per-trial shared
 //! state — layer membership, neighbor tables, the position-indexed
 //! `NodeBitSet` liveness words, the Chord finger rows — once *per
 //! route*. This kernel evaluates all routes of a trial as parallel
@@ -15,7 +15,7 @@
 //!   layer's membership words and neighbor rows for the whole chunk;
 //! * Chord substrate hops are resolved through a per-trial
 //!   `(from, to) → hops` memo. A miss runs one *traced* masked walk
-//!   ([`ChordRing::lookup_avoiding_hops_masked_traced`]) and splices
+//!   ([`ChordRing::lookup_masked`] with a trace) and splices
 //!   the walk's suffix answers — every intermediate node's remaining
 //!   hops to the target — into the memo alongside it, so walks toward
 //!   a shared target converge onto already-priced tails instead of
@@ -28,7 +28,7 @@
 //! [`stream::ROUTE`](crate::stream::ROUTE)), so lane order, chunking
 //! and batch width *cannot* perturb draws: a lane's draw sequence is a
 //! pure function of `(seed, trial, route)`. The fast paths below are
-//! faithful specializations of [`route_message_hint`](crate::routing::route_message_hint) to the
+//! faithful specializations of [`route`](crate::routing::route) to the
 //! fault-free case: layer-synchronous lanes for the greedy policies,
 //! and a memo-backed DFS (parent-pointer frames instead of a cloned
 //! path `Vec` per frame, hops from the shared per-trial Chord memo)
@@ -43,13 +43,13 @@
 //! the oracle (including RNG end state) and byte-identity of
 //! `run_parallel`/`run_sweep` across widths 1/4/16/64.
 
-use crate::routing::{route_message_hint_priced, RouteResult, RouteScratch, RoutingPolicy};
+use crate::routing::{route_priced, RouteCtx, RouteResult, RouteScratch, RoutingPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sos_faults::{FaultPlan, RetryPolicy};
 use sos_math::sampling::{shuffle, stream_seed, IndexSampler};
 use sos_overlay::transport::DeliveryOutcome;
-use sos_overlay::{ChordRing, NodeBitSet, NodeId, Overlay, Role, Transport};
+use sos_overlay::{ChordRing, HopCtx, NodeBitSet, NodeId, Overlay, Role, Transport};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -181,7 +181,7 @@ impl RouteBatchScratch {
     ///
     /// With `batched = false` (or whenever no fast path applies:
     /// active faults, protocol transport) every lane runs the scalar
-    /// [`route_message_hint`](crate::routing::route_message_hint) oracle through `oracle` scratch; results
+    /// [`route`](crate::routing::route) oracle through `oracle` scratch; results
     /// are identical either way.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate(
@@ -212,6 +212,7 @@ impl RouteBatchScratch {
             // counted fault streams. The oracle runs lanes in route
             // order, preserving the scalar draw sequence exactly.
             let RouteBatchScratch { lanes, memo, trace, .. } = self;
+            let ctx = RouteCtx { overlay, transport, policy, faults, retry, alive };
             let mut pricer = match (batched, transport, alive) {
                 (true, Transport::Chord(ring), Some(mask)) => {
                     Some(ChordMemoPricer { ring, mask, memo, trace })
@@ -221,17 +222,7 @@ impl RouteBatchScratch {
             for (k, lane) in lanes[..count].iter_mut().enumerate() {
                 let seed = stream_seed(route_master, crate::stream::ROUTE, first_route + k as u64);
                 lane.rng = StdRng::seed_from_u64(seed);
-                let r = route_message_hint_priced(
-                    overlay,
-                    transport,
-                    policy,
-                    faults,
-                    retry,
-                    &mut lane.rng,
-                    oracle,
-                    alive,
-                    pricer.as_mut(),
-                );
+                let r = route_priced(&ctx, &mut lane.rng, oracle, pricer.as_mut());
                 lane.result.clone_from(r);
             }
             return;
@@ -434,7 +425,7 @@ fn rebuild_path(frames: &[BtFrame], mut fi: u32, path: &mut Vec<NodeId>) {
     path.reverse();
 }
 
-/// Fault-free hop delivery, mirroring `Transport::deliver_hint` exactly
+/// Fault-free hop delivery, mirroring `Transport::deliver` exactly
 /// but resolving Chord lookups through the per-trial memo.
 #[inline]
 fn hop_hops(
@@ -460,10 +451,13 @@ fn hop_hops(
         }
         // The fast path never runs on other transports (see `evaluate`);
         // fall back to the canonical delivery for completeness.
-        other => match other.deliver_hint(overlay, from, to, alive) {
-            DeliveryOutcome::Delivered { hops } => Some(hops),
-            _ => None,
-        },
+        other => {
+            let hop = HopCtx { alive, ..HopCtx::new(overlay) };
+            match other.deliver(&hop, from, to, None).outcome {
+                DeliveryOutcome::Delivered { hops } => Some(hops),
+                DeliveryOutcome::Blocked => None,
+            }
+        }
     }
 }
 
@@ -473,8 +467,8 @@ fn hop_hops(
 /// delivered `h`-hop walk sits `h - (i + 1)` hops from the owner, and
 /// every intermediate of a stuck walk is on the same dead-end suffix
 /// (the greedy step is memoryless — see
-/// [`ChordRing::lookup_avoiding_hops_masked_traced`]). Encodes exactly
-/// `Transport::deliver_hint`'s Chord arm: hops-or-[`BLOCKED`], owner
+/// [`ChordRing::lookup_masked`]). Encodes exactly
+/// `Transport::deliver`'s Chord arm: hops-or-[`BLOCKED`], owner
 /// must be `to`.
 fn memo_chord_hops(
     ring: &ChordRing,
@@ -494,7 +488,7 @@ fn memo_chord_hops(
         .unwrap_or_else(|| panic!("{to} is not on the ring"));
     let hops = match alive {
         Some(mask) => {
-            let outcome = ring.lookup_avoiding_hops_masked_traced(from, key, mask, trace);
+            let outcome = ring.lookup_masked(from, key, mask, Some(trace));
             let hops = encode_chord_outcome(outcome, to);
             for (i, &mid) in trace.iter().enumerate() {
                 // Intermediates strictly precede the owner, so their
@@ -506,7 +500,7 @@ fn memo_chord_hops(
         }
         None => {
             let outcome =
-                ring.lookup_avoiding_hops(from, key, |n| n == from || overlay.is_good(n));
+                ring.lookup_avoiding(from, key, |n| n == from || overlay.is_good(n), None);
             encode_chord_outcome(outcome, to)
         }
     };
@@ -516,7 +510,7 @@ fn memo_chord_hops(
 
 /// Encodes a lookup outcome the way the memo stores hop answers:
 /// delivered-to-the-right-owner as `hops.max(1)`, anything else as
-/// [`BLOCKED`] — decision for decision `Transport::deliver_hint`'s
+/// [`BLOCKED`] — decision for decision `Transport::deliver`'s
 /// Chord arm.
 #[inline]
 fn encode_chord_outcome(outcome: Option<(NodeId, usize)>, to: NodeId) -> u32 {
@@ -527,11 +521,11 @@ fn encode_chord_outcome(outcome: Option<(NodeId, usize)>, to: NodeId) -> u32 {
 }
 
 /// Memo-backed substrate pricing for the *faulted* oracle path: a
-/// plug-in replacement for `Transport::attempt_via_substrate`'s Chord
+/// plug-in replacement for the Chord arm of `Transport::deliver`'s
 /// arm (filter shortcut, then the masked avoiding lookup), valid
 /// because that pricing is a pure function of `(from, to, mask)` for
 /// the whole trial. Installed by [`RouteBatchScratch::evaluate`] via
-/// [`Transport::deliver_with_hint_priced`]; consumes no randomness, so
+/// [`Transport::deliver`]'s substrate override; consumes no randomness, so
 /// the plan's counted fault streams see exactly the scalar sequence.
 pub(crate) struct ChordMemoPricer<'a> {
     ring: &'a ChordRing,
@@ -542,7 +536,7 @@ pub(crate) struct ChordMemoPricer<'a> {
 
 impl ChordMemoPricer<'_> {
     /// One substrate pricing, mirroring the Chord arm of
-    /// `Transport::attempt_via_substrate` (the destination is already
+    /// `Transport::deliver`'s built-in attempt (the destination is already
     /// checked good and not crashed by the delivery ladder).
     pub(crate) fn price(&mut self, overlay: &Overlay, from: NodeId, to: NodeId) -> DeliveryOutcome {
         if overlay.role(to) == Role::Filter {

@@ -19,7 +19,8 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sos_faults::{Fallback, FaultPlan, HopIncident, RetryPolicy};
 use sos_math::sampling::{shuffle, IndexSampler};
-use sos_overlay::{NodeBitSet, NodeId, Overlay, Transport};
+use sos_overlay::transport::DeliveryOutcome;
+use sos_overlay::{HopCtx, NodeBitSet, NodeId, Overlay, Transport};
 
 /// How a forwarding node chooses among its next-layer neighbors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -147,195 +148,163 @@ impl RouteScratch {
     }
 }
 
-/// Attempts to route one message from a fresh client through `overlay`.
+/// Everything one route reads: the damaged overlay, how hops travel,
+/// how the next node is chosen, and the trial's fault and liveness
+/// state.
 ///
-/// The client draws `m_1` first-layer contacts, then the chosen policy
-/// walks the layers. A hop from node `v` to neighbor `w` is usable when
-/// `transport` can deliver it (destination good; for Chord transport all
-/// intermediate hops good too).
-pub fn route_message<R: Rng + ?Sized>(
-    overlay: &Overlay,
-    transport: &Transport,
-    policy: RoutingPolicy,
-    rng: &mut R,
-) -> RouteResult {
-    route_message_with(overlay, transport, policy, None, &RetryPolicy::none(), rng)
+/// [`RouteCtx::new`] is the paper's fault-free setting; the fault
+/// plane, the retry policy and the Chord liveness mask are set on top
+/// of it with struct-update syntax (`RouteCtx { faults: Some(&plan),
+/// ..RouteCtx::new(overlay, transport, policy) }`).
+#[derive(Debug, Clone, Copy)]
+pub struct RouteCtx<'a> {
+    /// The (possibly damaged) overlay.
+    pub overlay: &'a Overlay,
+    /// How one overlay hop is delivered.
+    pub transport: &'a Transport,
+    /// How a forwarding node picks among its next-layer neighbors.
+    pub policy: RoutingPolicy,
+    /// The trial's fault plane. With `None` no fault draws, degradation
+    /// paths or incident allocations happen — the bit-for-bit
+    /// zero-fault guarantee.
+    pub faults: Option<&'a FaultPlan>,
+    /// How failed hop attempts are retried (only consulted with a plan).
+    pub retry: &'a RetryPolicy,
+    /// The Chord ring's position-indexed liveness mask (see
+    /// [`Transport::refresh_alive_positions`]): the trial runner
+    /// computes it once per attacked overlay and every substrate lookup
+    /// on every route of that trial probes the shared `u64` words
+    /// instead of re-deriving per-node status through the overlay. With
+    /// `None` (or a non-Chord transport) results and RNG consumption
+    /// are the same.
+    pub alive: Option<&'a NodeBitSet>,
 }
 
-/// Fault-aware routing: like [`route_message`], but every hop is
-/// delivered through the fault plane with the given retry policy, and
-/// fault-caused hop failures degrade gracefully — first to
-/// successor-list walking on the substrate, then to an alternate
+/// The single-attempt retry policy of [`RouteCtx::new`].
+const NO_RETRY: RetryPolicy = RetryPolicy::none();
+
+impl<'a> RouteCtx<'a> {
+    /// Fault-free routing over `overlay` with `transport` and `policy`:
+    /// no fault plan, no retries, no liveness mask.
+    pub fn new(overlay: &'a Overlay, transport: &'a Transport, policy: RoutingPolicy) -> Self {
+        RouteCtx {
+            overlay,
+            transport,
+            policy,
+            faults: None,
+            retry: &NO_RETRY,
+            alive: None,
+        }
+    }
+
+    /// The per-hop view of this context.
+    fn hop(&self) -> HopCtx<'a> {
+        HopCtx {
+            overlay: self.overlay,
+            faults: self.faults,
+            retry: self.retry,
+            alive: self.alive,
+        }
+    }
+}
+
+/// Attempts to route one message from a fresh client through
+/// `ctx.overlay`.
+///
+/// The client draws `m_1` first-layer contacts, then `ctx.policy` walks
+/// the layers. A hop from node `v` to neighbor `w` is usable when
+/// `ctx.transport` can deliver it (destination good; for Chord transport
+/// all intermediate hops good too).
+///
+/// With a fault plan every hop is delivered through the fault plane with
+/// `ctx.retry`, and fault-caused hop failures degrade gracefully — first
+/// to successor-list walking on the substrate, then to an alternate
 /// next-layer neighbor — with every incident recorded in
 /// [`RouteResult::incidents`].
 ///
-/// With `faults = None` this is *exactly* [`route_message`]: no fault
-/// draws, no degradation paths, no incident allocation — the bit-for-bit
-/// zero-fault guarantee.
-pub fn route_message_with<R: Rng + ?Sized>(
-    overlay: &Overlay,
-    transport: &Transport,
-    policy: RoutingPolicy,
-    faults: Option<&FaultPlan>,
-    retry: &RetryPolicy,
+/// All buffers (entry sampling, candidate lists, visited set, the result
+/// itself) live in the caller-owned [`RouteScratch`]; a reused scratch
+/// gives results and RNG consumption identical to a fresh one. The
+/// returned reference points into the scratch and is valid until the
+/// next call.
+pub fn route<'s, R: Rng + ?Sized>(
+    ctx: &RouteCtx<'_>,
     rng: &mut R,
-) -> RouteResult {
-    let mut scratch = RouteScratch::new();
-    route_message_into(overlay, transport, policy, faults, retry, rng, &mut scratch).clone()
+    scratch: &'s mut RouteScratch,
+) -> &'s RouteResult {
+    route_priced(ctx, rng, scratch, None)
 }
 
-/// Allocation-reusing routing: identical semantics and RNG consumption
-/// to [`route_message_with`], but all buffers (entry sampling,
-/// candidate lists, visited set, the result itself) live in the
-/// caller-owned [`RouteScratch`]. The returned reference points into the
-/// scratch and is valid until the next call.
-#[allow(clippy::too_many_arguments)]
-pub fn route_message_into<'a, R: Rng + ?Sized>(
-    overlay: &Overlay,
-    transport: &Transport,
-    policy: RoutingPolicy,
-    faults: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-    rng: &mut R,
-    scratch: &'a mut RouteScratch,
-) -> &'a RouteResult {
-    route_message_hint(overlay, transport, policy, faults, retry, rng, scratch, None)
-}
-
-/// [`route_message_into`] with a precomputed substrate liveness mask.
-///
-/// `alive` is the Chord ring's position-indexed liveness bitset (see
-/// [`Transport::refresh_alive_positions`]): the trial runner computes it
-/// once per attacked overlay and every substrate lookup on every route
-/// of that trial probes the shared `u64` words instead of re-deriving
-/// per-node status through the overlay. With `alive = None` (or a
-/// non-Chord transport) this is exactly [`route_message_into`] — same
-/// results, same RNG consumption.
-#[allow(clippy::too_many_arguments)]
-pub fn route_message_hint<'a, R: Rng + ?Sized>(
-    overlay: &Overlay,
-    transport: &Transport,
-    policy: RoutingPolicy,
-    faults: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-    rng: &mut R,
-    scratch: &'a mut RouteScratch,
-    alive: Option<&NodeBitSet>,
-) -> &'a RouteResult {
-    route_message_hint_priced(
-        overlay, transport, policy, faults, retry, rng, scratch, alive, None,
-    )
-}
-
-/// [`route_message_hint`] with an optional memo-backed Chord substrate
-/// pricer (see [`ChordMemoPricer`]): identical semantics and RNG/fault
-/// draw consumption — pricing is pure, so memoizing it cannot shift the
+/// [`route`] with an optional memo-backed Chord substrate pricer (see
+/// [`ChordMemoPricer`]): identical semantics and RNG/fault draw
+/// consumption — pricing is pure, so memoizing it cannot shift the
 /// plan's counted streams — used by the batched kernel's faulted oracle
 /// path to share the per-trial hop memo across lanes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn route_message_hint_priced<'a, R: Rng + ?Sized>(
-    overlay: &Overlay,
-    transport: &Transport,
-    policy: RoutingPolicy,
-    faults: Option<&FaultPlan>,
-    retry: &RetryPolicy,
+pub(crate) fn route_priced<'s, R: Rng + ?Sized>(
+    ctx: &RouteCtx<'_>,
     rng: &mut R,
-    scratch: &'a mut RouteScratch,
-    alive: Option<&NodeBitSet>,
-    mut pricer: Option<&mut ChordMemoPricer<'_>>,
-) -> &'a RouteResult {
-    let last_layer = overlay.layer_count() + 1; // filters
-    {
-        let RouteScratch {
-            sampler,
-            candidates,
-            neighbors_buf,
-            visited,
-            result,
-        } = scratch;
-        overlay.sample_entry_points_into(rng, sampler, candidates);
-        result.reset();
-        match policy {
-            RoutingPolicy::RandomGood | RoutingPolicy::FirstGood => greedy_route(
-                overlay,
-                transport,
-                policy,
-                candidates,
-                last_layer,
-                faults,
-                retry,
-                rng,
-                result,
-                alive,
-                pricer.as_deref_mut(),
-            ),
-            RoutingPolicy::Backtracking => backtracking_route(
-                overlay,
-                transport,
-                candidates,
-                neighbors_buf,
-                visited,
-                last_layer,
-                faults,
-                retry,
-                rng,
-                result,
-                alive,
-                pricer,
-            ),
+    scratch: &'s mut RouteScratch,
+    pricer: Option<&mut ChordMemoPricer<'_>>,
+) -> &'s RouteResult {
+    ctx.overlay
+        .sample_entry_points_into(rng, &mut scratch.sampler, &mut scratch.candidates);
+    scratch.result.reset();
+    match ctx.policy {
+        RoutingPolicy::RandomGood | RoutingPolicy::FirstGood => {
+            greedy_route(ctx, rng, scratch, pricer)
         }
+        RoutingPolicy::Backtracking => backtracking_route(ctx, rng, scratch, pricer),
     }
     &scratch.result
 }
 
 /// One fault-ladder hop delivery, routed through the memo-backed pricer
 /// when one is installed (Chord + trial-stable mask only; see
-/// [`Transport::deliver_with_hint_priced`] for the contract).
-#[allow(clippy::too_many_arguments)]
-fn deliver_priced(
-    transport: &Transport,
-    overlay: &Overlay,
+/// [`Transport::deliver`] for the contract). Its retries, ticks and
+/// incidents are added to `result`.
+fn deliver_hop(
+    ctx: &RouteCtx<'_>,
     from: NodeId,
     to: NodeId,
-    faults: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-    alive: Option<&NodeBitSet>,
+    result: &mut RouteResult,
     pricer: Option<&mut ChordMemoPricer<'_>>,
-) -> sos_overlay::transport::HopDelivery {
-    match pricer {
-        Some(p) => transport.deliver_with_hint_priced(
-            overlay,
+) -> DeliveryOutcome {
+    let hop = match pricer {
+        Some(p) => ctx.transport.deliver(
+            &ctx.hop(),
             from,
             to,
-            faults,
-            retry,
-            alive,
-            Some(&mut |f, t| p.price(overlay, f, t)),
+            Some(&mut |f, t| p.price(ctx.overlay, f, t)),
         ),
-        None => transport.deliver_with_hint(overlay, from, to, faults, retry, alive),
+        None => ctx.transport.deliver(&ctx.hop(), from, to, None),
+    };
+    result.retries += u64::from(hop.attempts.saturating_sub(1));
+    result.fault_ticks += hop.ticks;
+    for incident in &hop.incidents {
+        result.incidents.push(RouteIncident {
+            from: from.0,
+            to: to.0,
+            kind: RouteIncidentKind::Hop(*incident),
+        });
     }
+    hop.outcome
 }
 
-#[allow(clippy::too_many_arguments)]
 fn greedy_route<R: Rng + ?Sized>(
-    overlay: &Overlay,
-    transport: &Transport,
-    policy: RoutingPolicy,
-    candidates: &mut Vec<NodeId>,
-    last_layer: usize,
-    faults: Option<&FaultPlan>,
-    retry: &RetryPolicy,
+    ctx: &RouteCtx<'_>,
     rng: &mut R,
-    result: &mut RouteResult,
-    alive: Option<&NodeBitSet>,
+    scratch: &mut RouteScratch,
     mut pricer: Option<&mut ChordMemoPricer<'_>>,
 ) {
+    let RouteCtx { overlay, faults, .. } = *ctx;
+    let last_layer = overlay.layer_count() + 1; // filters
+    let RouteScratch { candidates, result, .. } = scratch;
     // `candidates` are the potential nodes at the next layer (initially
     // the client's entry set); the "client hop" into layer 1 is a plain
     // reachability check (clients talk to SOAPs directly).
     let mut current: Option<NodeId> = None;
     loop {
-        if policy == RoutingPolicy::RandomGood {
+        if ctx.policy == RoutingPolicy::RandomGood {
             shuffle(rng, candidates);
         }
         let mut next = None;
@@ -357,28 +326,8 @@ fn greedy_route<R: Rng + ?Sized>(
                     }
                 }
                 Some(v) => {
-                    let hop = deliver_priced(
-                        transport,
-                        overlay,
-                        v,
-                        cand,
-                        faults,
-                        retry,
-                        alive,
-                        pricer.as_deref_mut(),
-                    );
-                    result.retries += u64::from(hop.attempts.saturating_sub(1));
-                    result.fault_ticks += hop.ticks;
-                    for incident in &hop.incidents {
-                        result.incidents.push(RouteIncident {
-                            from: v.0,
-                            to: cand.0,
-                            kind: RouteIncidentKind::Hop(*incident),
-                        });
-                    }
-                    if let sos_overlay::transport::DeliveryOutcome::Delivered { hops } =
-                        hop.outcome
-                    {
+                    let outcome = deliver_hop(ctx, v, cand, result, pricer.as_deref_mut());
+                    if let DeliveryOutcome::Delivered { hops } = outcome {
                         if fault_failed_prev {
                             result.downgrades += 1;
                             result.incidents.push(RouteIncident {
@@ -401,8 +350,7 @@ fn greedy_route<R: Rng + ?Sized>(
                     });
                     if fault_failure {
                         // Stage 1: successor-list walking.
-                        let walked =
-                            transport.deliver_degraded_hint(overlay, v, cand, faults, alive);
+                        let walked = ctx.transport.deliver_degraded(&ctx.hop(), v, cand);
                         let recovered = walked.is_delivered();
                         result.downgrades += 1;
                         result.incidents.push(RouteIncident {
@@ -413,9 +361,7 @@ fn greedy_route<R: Rng + ?Sized>(
                                 recovered,
                             },
                         });
-                        if let sos_overlay::transport::DeliveryOutcome::Delivered { hops } =
-                            walked
-                        {
+                        if let DeliveryOutcome::Delivered { hops } = walked {
                             next = Some((cand, hops));
                             break;
                         }
@@ -459,21 +405,21 @@ fn greedy_route<R: Rng + ?Sized>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn backtracking_route<R: Rng + ?Sized>(
-    overlay: &Overlay,
-    transport: &Transport,
-    entries: &mut Vec<NodeId>,
-    neighbors_buf: &mut Vec<NodeId>,
-    visited: &mut NodeBitSet,
-    last_layer: usize,
-    faults: Option<&FaultPlan>,
-    retry: &RetryPolicy,
+    ctx: &RouteCtx<'_>,
     rng: &mut R,
-    result: &mut RouteResult,
-    alive: Option<&NodeBitSet>,
+    scratch: &mut RouteScratch,
     mut pricer: Option<&mut ChordMemoPricer<'_>>,
 ) {
+    let RouteCtx { overlay, faults, .. } = *ctx;
+    let last_layer = overlay.layer_count() + 1; // filters
+    let RouteScratch {
+        candidates: entries,
+        neighbors_buf,
+        visited,
+        result,
+        ..
+    } = scratch;
     shuffle(rng, entries);
     visited.clear();
     let mut best_prefix_hops = 0usize;
@@ -527,28 +473,8 @@ fn backtracking_route<R: Rng + ?Sized>(
             if visited.contains(next) {
                 continue;
             }
-            let hop = deliver_priced(
-                transport,
-                overlay,
-                node,
-                next,
-                faults,
-                retry,
-                alive,
-                pricer.as_deref_mut(),
-            );
-            result.retries += u64::from(hop.attempts.saturating_sub(1));
-            result.fault_ticks += hop.ticks;
-            for incident in &hop.incidents {
-                result.incidents.push(RouteIncident {
-                    from: node.0,
-                    to: next.0,
-                    kind: RouteIncidentKind::Hop(*incident),
-                });
-            }
-            if let sos_overlay::transport::DeliveryOutcome::Delivered { hops: edge } =
-                hop.outcome
-            {
+            let outcome = deliver_hop(ctx, node, next, result, pricer.as_deref_mut());
+            if let DeliveryOutcome::Delivered { hops: edge } = outcome {
                 let mut next_path = path.clone();
                 next_path.push(next);
                 stack.push(Frame {
@@ -570,6 +496,11 @@ mod tests {
     use sos_core::{MappingDegree, Scenario, SystemParams};
     use sos_faults::FaultConfig;
     use sos_overlay::NodeStatus;
+
+    /// One route through a fresh scratch, cloned out.
+    fn fresh<R: Rng>(ctx: &RouteCtx<'_>, rng: &mut R) -> RouteResult {
+        route(ctx, rng, &mut RouteScratch::new()).clone()
+    }
 
     fn overlay(mapping: MappingDegree, seed: u64) -> Overlay {
         let scenario = Scenario::builder()
@@ -593,7 +524,7 @@ mod tests {
             RoutingPolicy::Backtracking,
         ] {
             for _ in 0..50 {
-                let r = route_message(&o, &Transport::Direct, policy, &mut rng);
+                let r = fresh(&RouteCtx::new(&o, &Transport::Direct, policy), &mut rng);
                 assert!(r.delivered, "{policy} failed on a clean overlay");
                 // Path: layer1, layer2, layer3, filter.
                 assert_eq!(r.path.len(), 4);
@@ -616,7 +547,7 @@ mod tests {
             RoutingPolicy::Backtracking,
         ] {
             for _ in 0..20 {
-                let r = route_message(&o, &Transport::Direct, policy, &mut rng);
+                let r = fresh(&RouteCtx::new(&o, &Transport::Direct, policy), &mut rng);
                 assert!(!r.delivered, "{policy} slipped through a dead layer");
                 assert!(r.deepest_layer <= 1);
             }
@@ -640,22 +571,15 @@ mod tests {
                     o.set_status(m, NodeStatus::Congested);
                 }
             }
+            let greedy = RouteCtx::new(&o, &Transport::Direct, RoutingPolicy::RandomGood);
+            let backtracking = RouteCtx::new(&o, &Transport::Direct, RoutingPolicy::Backtracking);
             let mut g = 0u32;
             let mut b = 0u32;
             for _ in 0..40 {
-                if route_message(&o, &Transport::Direct, RoutingPolicy::RandomGood, &mut rng)
-                    .delivered
-                {
+                if fresh(&greedy, &mut rng).delivered {
                     g += 1;
                 }
-                if route_message(
-                    &o,
-                    &Transport::Direct,
-                    RoutingPolicy::Backtracking,
-                    &mut rng,
-                )
-                .delivered
-                {
+                if fresh(&backtracking, &mut rng).delivered {
                     b += 1;
                 }
             }
@@ -683,11 +607,10 @@ mod tests {
             for &m in &members[..5] {
                 o.set_status(m, NodeStatus::Congested);
             }
+            let ctx = RouteCtx::new(&o, &Transport::Direct, RoutingPolicy::RandomGood);
             for _ in 0..200 {
                 trials += 1;
-                if route_message(&o, &Transport::Direct, RoutingPolicy::RandomGood, &mut rng)
-                    .delivered
-                {
+                if fresh(&ctx, &mut rng).delivered {
                     hits += 1;
                 }
             }
@@ -708,7 +631,8 @@ mod tests {
             o.set_status(n, NodeStatus::Congested);
         }
         let mut rng = StdRng::seed_from_u64(9);
-        let r = route_message(&o, &Transport::Direct, RoutingPolicy::RandomGood, &mut rng);
+        let ctx = RouteCtx::new(&o, &Transport::Direct, RoutingPolicy::RandomGood);
+        let r = fresh(&ctx, &mut rng);
         assert!(!r.delivered);
         assert_eq!(r.deepest_layer, 2);
     }
@@ -723,9 +647,9 @@ mod tests {
 
     #[test]
     fn no_plan_is_exactly_the_clean_path() {
-        // `route_message_with(…, None, …)` must be bit-identical to
-        // `route_message` — same rng consumption, same result, zero
-        // fault bookkeeping — even with an aggressive retry policy.
+        // Without a fault plan a retry policy must change nothing: same
+        // rng consumption, same result, zero fault bookkeeping — even
+        // with an aggressive policy.
         let o = overlay(MappingDegree::OneTo(2), 21);
         for policy in [
             RoutingPolicy::RandomGood,
@@ -735,15 +659,10 @@ mod tests {
             let mut a = StdRng::seed_from_u64(22);
             let mut b = StdRng::seed_from_u64(22);
             for _ in 0..30 {
-                let plain = route_message(&o, &Transport::Direct, policy, &mut a);
-                let faulted = route_message_with(
-                    &o,
-                    &Transport::Direct,
-                    policy,
-                    None,
-                    &RetryPolicy::new(8, 2, 1_000),
-                    &mut b,
-                );
+                let plain = fresh(&RouteCtx::new(&o, &Transport::Direct, policy), &mut a);
+                let retry = RetryPolicy::new(8, 2, 1_000);
+                let clean = RouteCtx::new(&o, &Transport::Direct, policy);
+                let faulted = fresh(&RouteCtx { retry: &retry, ..clean }, &mut b);
                 assert_eq!(plain, faulted);
                 assert_eq!(faulted.retries, 0);
                 assert_eq!(faulted.downgrades, 0);
@@ -766,14 +685,9 @@ mod tests {
             let mut retries = 0u64;
             for trial in 0..120u64 {
                 let plan = FaultPlan::new(&cfg, trial);
-                let r = route_message_with(
-                    &o,
-                    &Transport::Direct,
-                    RoutingPolicy::FirstGood,
-                    Some(&plan),
-                    &retry,
-                    &mut rng,
-                );
+                let clean = RouteCtx::new(&o, &Transport::Direct, RoutingPolicy::FirstGood);
+                let ctx = RouteCtx { faults: Some(&plan), retry: &retry, ..clean };
+                let r = fresh(&ctx, &mut rng);
                 delivered += u32::from(r.delivered);
                 retries += r.retries;
             }
@@ -800,14 +714,8 @@ mod tests {
         let mut saw_downgrade = false;
         for trial in 0..60u64 {
             let plan = FaultPlan::new(&cfg, trial);
-            let r = route_message_with(
-                &o,
-                &Transport::Direct,
-                RoutingPolicy::RandomGood,
-                Some(&plan),
-                &RetryPolicy::none(),
-                &mut rng,
-            );
+            let clean = RouteCtx::new(&o, &Transport::Direct, RoutingPolicy::RandomGood);
+            let r = fresh(&RouteCtx { faults: Some(&plan), ..clean }, &mut rng);
             for i in &r.incidents {
                 match i.kind {
                     RouteIncidentKind::Hop(HopIncident::Loss { .. }) => saw_loss = true,
@@ -861,23 +769,13 @@ mod tests {
                 let plan_a = (trial % 2 == 0).then(|| FaultPlan::new(&cfg, trial));
                 let plan_b = (trial % 2 == 0).then(|| FaultPlan::new(&cfg, trial));
                 let retry = RetryPolicy::new(3, 1, 128);
-                let fresh = route_message_with(
-                    &o,
-                    &Transport::Direct,
-                    policy,
-                    plan_a.as_ref(),
-                    &retry,
+                let clean = RouteCtx::new(&o, &Transport::Direct, policy);
+                let fresh = fresh(
+                    &RouteCtx { faults: plan_a.as_ref(), retry: &retry, ..clean },
                     &mut a,
                 );
-                let reused = route_message_into(
-                    &o,
-                    &Transport::Direct,
-                    policy,
-                    plan_b.as_ref(),
-                    &retry,
-                    &mut b,
-                    &mut scratch,
-                );
+                let ctx_b = RouteCtx { faults: plan_b.as_ref(), retry: &retry, ..clean };
+                let reused = route(&ctx_b, &mut b, &mut scratch);
                 assert_eq!(&fresh, reused, "{policy} trial {trial}");
                 assert_eq!(a.gen::<u64>(), b.gen::<u64>());
             }
@@ -893,14 +791,9 @@ mod tests {
         let plan = FaultPlan::new(&cfg, 0);
         let mut rng = StdRng::seed_from_u64(28);
         for policy in [RoutingPolicy::RandomGood, RoutingPolicy::Backtracking] {
-            let r = route_message_with(
-                &o,
-                &Transport::Direct,
-                policy,
-                Some(&plan),
-                &RetryPolicy::new(4, 1, 64),
-                &mut rng,
-            );
+            let retry = RetryPolicy::new(4, 1, 64);
+            let clean = RouteCtx::new(&o, &Transport::Direct, policy);
+            let r = fresh(&RouteCtx { faults: Some(&plan), retry: &retry, ..clean }, &mut rng);
             assert!(!r.delivered);
             assert_eq!(r.deepest_layer, 0);
             assert_eq!(r.retries, 0, "crashes are permanent, never retried");

@@ -7,9 +7,8 @@
 //! closed form can be validated and tail percentiles (which the closed
 //! form does not give) can be reported.
 
-use crate::routing::{route_message_into, RouteScratch, RoutingPolicy};
+use crate::routing::{route, RouteCtx, RouteScratch, RoutingPolicy};
 use rand::Rng;
-use sos_faults::RetryPolicy;
 use sos_math::stats::{quantile, RunningStats};
 use sos_overlay::{Overlay, Transport};
 
@@ -90,10 +89,9 @@ pub fn measure_latency<R: Rng + ?Sized>(
     let mut hop_stats = RunningStats::new();
     let mut failures = 0u64;
     let mut scratch = RouteScratch::new();
-    let retry = RetryPolicy::none();
+    let ctx = RouteCtx::new(overlay, transport, policy);
     for _ in 0..routes {
-        let result =
-            route_message_into(overlay, transport, policy, None, &retry, rng, &mut scratch);
+        let result = route(&ctx, rng, &mut scratch);
         if !result.delivered {
             failures += 1;
             continue;

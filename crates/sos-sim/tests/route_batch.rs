@@ -1,5 +1,5 @@
 //! The batched SoA route kernel must be observationally pure: every
-//! lane equals the scalar `route_message_hint` oracle (same
+//! lane equals the scalar `routing::route` oracle (same
 //! delivered/hops/incidents, same RNG sub-stream), and whole-run
 //! results are byte-identical at any batch width and thread count —
 //! each route draws from its own `route_lane_seed` stream, so lane
@@ -13,11 +13,12 @@ use sos_core::{AttackBudget, AttackConfig, MappingDegree, Scenario, SystemParams
 use sos_faults::{FaultConfig, FaultPlan, RetryPolicy};
 use sos_overlay::{ChordRing, NodeBitSet, NodeId, Overlay, Transport};
 use sos_sim::engine::{SimulationConfig, TransportKind};
-use sos_sim::routing::{route_message_hint, RouteScratch, RoutingPolicy};
+use sos_sim::routing::{route, RouteCtx, RouteScratch, RoutingPolicy};
 use sos_sim::{
-    route_lane_seed, set_route_batch_width, stream, trial_stream_seed, RouteBatchScratch,
-    Simulation, SweepExecutor,
+    route_batch_width, route_lane_seed, set_route_batch_width, stream, trial_stream_seed,
+    RouteBatchScratch, Simulation, SweepExecutor,
 };
+use std::sync::Mutex;
 
 const POLICIES: [RoutingPolicy; 3] = [
     RoutingPolicy::RandomGood,
@@ -93,27 +94,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Lane-for-lane: the batched fast path equals the scalar oracle —
-    /// and both equal a by-hand `route_message_hint` call seeded with
-    /// the public `route_lane_seed` derivation — across all three
-    /// routing policies, both transports, and fault plane on/off.
+    /// and both equal a by-hand `route` call seeded with the public
+    /// `route_lane_seed` derivation, with the liveness mask and again
+    /// with per-node (closure) liveness — across all three routing
+    /// policies, both transports, and fault plane off, lossy, and
+    /// crashing (the mask then encodes "good and not crashed").
     #[test]
     fn kernel_lanes_match_scalar_oracle(seed in 0..1_000u64, trial in 0..50u64) {
-        let fault_cfg = FaultConfig::none().loss(0.25).delay(0.2, 2).seed(9);
+        let lossy = FaultConfig::none().loss(0.25).delay(0.2, 2).seed(9);
+        let crashing = FaultConfig::none().crash(0.15).seed(9);
         let route_master = trial_stream_seed(seed, stream::ROUTE, trial);
         let count = 24usize;
         for chord in [false, true] {
             for policy in POLICIES {
-                for faulted in [false, true] {
-                    let plan_mask = faulted.then(|| FaultPlan::new(&fault_cfg, trial));
+                for fault_cfg in [None, Some(&lossy), Some(&crashing)] {
+                    let faulted = fault_cfg.is_some();
+                    let new_plan = || fault_cfg.map(|cfg| FaultPlan::new(cfg, trial));
+                    let plan_mask = new_plan();
                     let (overlay, transport, mask) = damaged(seed, chord, plan_mask.as_ref());
                     let alive = chord.then_some(&mask);
 
-                    let plan_a = faulted.then(|| FaultPlan::new(&fault_cfg, trial));
+                    let plan_a = new_plan();
                     let fast = kernel_results(
                         &overlay, &transport, policy, plan_a.as_ref(),
                         route_master, count, alive, true,
                     );
-                    let plan_b = faulted.then(|| FaultPlan::new(&fault_cfg, trial));
+                    let plan_b = new_plan();
                     let slow = kernel_results(
                         &overlay, &transport, policy, plan_b.as_ref(),
                         route_master, count, alive, false,
@@ -125,22 +131,29 @@ proptest! {
                     );
 
                     // And a by-hand scalar loop over the public lane-seed
-                    // helper reproduces the same lanes.
-                    let plan_c = faulted.then(|| FaultPlan::new(&fault_cfg, trial));
+                    // helper reproduces the same lanes, masked and with
+                    // the liveness derived per node.
+                    let plan_c = new_plan();
+                    let plan_d = new_plan();
+                    let masked = RouteCtx {
+                        faults: plan_c.as_ref(),
+                        alive,
+                        ..RouteCtx::new(&overlay, &transport, policy)
+                    };
+                    let unmasked = RouteCtx { faults: plan_d.as_ref(), alive: None, ..masked };
                     let mut scratch = RouteScratch::new();
                     for (k, expect) in fast.iter().enumerate() {
-                        let mut rng = StdRng::seed_from_u64(
-                            route_lane_seed(seed, trial, k as u64),
-                        );
-                        let manual = route_message_hint(
-                            &overlay, &transport, policy, plan_c.as_ref(),
-                            &RetryPolicy::none(), &mut rng, &mut scratch, alive,
-                        );
-                        prop_assert_eq!(
-                            manual, expect,
-                            "lane {} != manual: chord={} policy={} faults={}",
-                            k, chord, policy, faulted
-                        );
+                        for ctx in [&masked, &unmasked] {
+                            let mut rng = StdRng::seed_from_u64(
+                                route_lane_seed(seed, trial, k as u64),
+                            );
+                            let manual = route(ctx, &mut rng, &mut scratch);
+                            prop_assert_eq!(
+                                manual, expect,
+                                "lane {} != manual: chord={} policy={} faults={} masked={}",
+                                k, chord, policy, faulted, ctx.alive.is_some()
+                            );
+                        }
                     }
                 }
             }
@@ -170,11 +183,17 @@ fn sim_config(
     cfg
 }
 
+/// Serializes the tests that write the process-global batch width: the
+/// test harness runs tests on parallel threads, so without it a "width
+/// 1" run could execute at another test's width.
+static WIDTH_LOCK: Mutex<()> = Mutex::new(());
+
 /// `run_parallel` output is byte-identical across batch widths 1/4/16/64
 /// and 1/2/4/8 threads, for greedy and backtracking policies, both
 /// transports, fault plane on and off.
 #[test]
 fn run_parallel_byte_identical_across_widths_and_threads() {
+    let _width = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for transport in [TransportKind::Direct, TransportKind::Chord] {
         for (policy, faulted) in [
             (RoutingPolicy::RandomGood, false),
@@ -189,6 +208,7 @@ fn run_parallel_byte_identical_across_widths_and_threads() {
                 set_route_batch_width(width);
                 for threads in [1usize, 2, 4, 8] {
                     let json = serde_json::to_string(&sim.run_parallel(threads)).unwrap();
+                    assert_eq!(route_batch_width(), width, "width changed mid-run");
                     match &reference {
                         None => reference = Some(json),
                         Some(expect) => assert_eq!(
@@ -209,6 +229,7 @@ fn run_parallel_byte_identical_across_widths_and_threads() {
 /// and recomputed points agree at any width.
 #[test]
 fn run_sweep_byte_identical_across_widths() {
+    let _width = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let configs: Vec<SimulationConfig> = [TransportKind::Direct, TransportKind::Chord]
         .into_iter()
         .flat_map(|t| {
@@ -221,6 +242,7 @@ fn run_sweep_byte_identical_across_widths() {
     for width in [1usize, 4, 16, 64] {
         set_route_batch_width(width);
         let results = SweepExecutor::with_threads(4).run(&configs);
+        assert_eq!(route_batch_width(), width, "width changed mid-run");
         let json = serde_json::to_string(&results).unwrap();
         match &reference {
             None => reference = Some(json),

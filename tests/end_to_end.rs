@@ -8,8 +8,8 @@ use sos::core::{
     AttackBudget, MappingDegree, NodeDistribution, PathEvaluator, Scenario,
     SuccessiveParams, SystemParams,
 };
-use sos::overlay::{ChordRing, NodeId, Overlay, Transport};
-use sos::sim::routing::{route_message, RoutingPolicy};
+use sos::overlay::{ChordRing, HopCtx, NodeId, Overlay, Transport};
+use sos::sim::routing::{route, RouteCtx, RouteScratch, RoutingPolicy};
 
 fn scenario() -> Scenario {
     Scenario::builder()
@@ -63,13 +63,10 @@ fn routing_respects_attack_damage() {
     )
     .execute(&mut overlay, &mut rng);
 
+    let ctx = RouteCtx::new(&overlay, &Transport::Direct, RoutingPolicy::RandomGood);
+    let mut scratch = RouteScratch::new();
     for _ in 0..200 {
-        let result = route_message(
-            &overlay,
-            &Transport::Direct,
-            RoutingPolicy::RandomGood,
-            &mut rng,
-        );
+        let result = route(&ctx, &mut rng, &mut scratch);
         // Whatever path was taken, every node on it must be good.
         for node in &result.path {
             assert!(overlay.is_good(*node), "routed through bad node {node}");
@@ -99,16 +96,11 @@ fn realized_state_pricing_brackets_empirical_rate() {
         predicted += PathEvaluator::Binomial
             .success_probability(overlay.scenario().topology(), &overlay.compromise_state())
             .value();
+        let ctx = RouteCtx::new(&overlay, &Transport::Direct, RoutingPolicy::RandomGood);
+        let mut scratch = RouteScratch::new();
         for _ in 0..100 {
             total += 1;
-            if route_message(
-                &overlay,
-                &Transport::Direct,
-                RoutingPolicy::RandomGood,
-                &mut rng,
-            )
-            .delivered
-            {
+            if route(&ctx, &mut rng, &mut scratch).delivered {
                 hits += 1;
             }
         }
@@ -134,7 +126,9 @@ fn chord_ring_covers_overlay_and_routes() {
         for &node in overlay.layer_members(layer).iter().take(10) {
             for &next in overlay.neighbors(node) {
                 assert!(
-                    transport.deliver(&overlay, node, next).is_delivered(),
+                    transport
+                        .deliver(&HopCtx::new(&overlay), node, next, None)
+                        .is_delivered(),
                     "{node} -> {next} not routable on a clean ring"
                 );
             }

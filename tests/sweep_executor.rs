@@ -9,6 +9,14 @@ use sos::core::{AttackBudget, AttackConfig, MappingDegree, Scenario, SystemParam
 use sos::sim::engine::{Simulation, SimulationConfig, TransportKind};
 use sos::sim::routing::RoutingPolicy;
 use sos::sim::SweepExecutor;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Numbers the warm-cache runs in this process. The vendored
+/// `proptest!` registers each property twice (it adds a `#[test]` to the
+/// one written here) and both copies draw the same cases, so process id
+/// and case alone let two concurrent runs share, and delete, one cache
+/// file.
+static RUN: AtomicU64 = AtomicU64::new(0);
 
 fn scenario() -> Scenario {
     Scenario::builder()
@@ -98,10 +106,11 @@ proptest! {
     ) {
         let dir = std::env::temp_dir().join("sos-sweep-proptest");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("cache-{}-{case}.json", std::process::id()));
+        let run = RUN.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("cache-{}-{case}-{run}.json", std::process::id()));
         // Clear both the cache file and its append journal: a journal
         // left by an earlier run would warm-start the "cold" executor.
-        let journal = dir.join(format!("cache-{}-{case}.json.journal", std::process::id()));
+        let journal = dir.join(format!("cache-{}-{case}-{run}.json.journal", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&journal);
 
