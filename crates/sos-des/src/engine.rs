@@ -1,45 +1,25 @@
 //! The event scheduler and a thin simulation driver.
 
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// A deterministic future-event queue.
 ///
 /// Events fire in `(time, insertion order)` order: two events scheduled
 /// for the same tick fire in the order they were scheduled, regardless
-/// of heap internals — the property that makes protocol simulations
-/// reproducible.
+/// of queue internals — the property that makes protocol simulations
+/// reproducible. Pending events are grouped by firing time, each group
+/// a FIFO queue, so insertion order needs no sequence number and an
+/// event costs one ordered-map probe among the distinct pending times.
 #[derive(Debug, Clone)]
 pub struct Scheduler<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    seq: u64,
+    buckets: BTreeMap<SimTime, VecDeque<E>>,
+    /// Drained bucket queues, kept so that steady-state scheduling
+    /// does not allocate.
+    spare: Vec<VecDeque<E>>,
+    pending: usize,
     now: SimTime,
     processed: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
 }
 
 impl<E> Default for Scheduler<E> {
@@ -52,8 +32,9 @@ impl<E> Scheduler<E> {
     /// An empty scheduler at time zero.
     pub fn new() -> Self {
         Scheduler {
-            heap: BinaryHeap::new(),
-            seq: 0,
+            buckets: BTreeMap::new(),
+            spare: Vec::new(),
+            pending: 0,
             now: SimTime::ZERO,
             processed: 0,
         }
@@ -72,12 +53,12 @@ impl<E> Scheduler<E> {
 
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.pending
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.pending == 0
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -91,12 +72,12 @@ impl<E> Scheduler<E> {
             "cannot schedule into the past ({at} < {})",
             self.now
         );
-        self.heap.push(Reverse(Entry {
-            at,
-            seq: self.seq,
-            event,
-        }));
-        self.seq += 1;
+        let spare = &mut self.spare;
+        self.buckets
+            .entry(at)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push_back(event);
+        self.pending += 1;
     }
 
     /// Schedules `event` `delay` ticks from now.
@@ -106,15 +87,24 @@ impl<E> Scheduler<E> {
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(entry) = self.heap.pop()?;
-        self.now = entry.at;
+        let mut bucket = self.buckets.first_entry()?;
+        let at = *bucket.key();
+        let event = bucket
+            .get_mut()
+            .pop_front()
+            .expect("buckets are never empty");
+        if bucket.get().is_empty() {
+            self.spare.push(bucket.remove());
+        }
+        self.now = at;
         self.processed += 1;
-        Some((entry.at, entry.event))
+        self.pending -= 1;
+        Some((at, event))
     }
 
     /// Pops the next event only if it fires at or before `deadline`.
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.peek().map(|Reverse(e)| e.at <= deadline)? {
+        if *self.buckets.first_key_value()?.0 <= deadline {
             self.pop()
         } else {
             None
@@ -223,6 +213,37 @@ mod tests {
         assert!(s.pop_until(SimTime::from_ticks(15)).is_some());
         assert!(s.pop_until(SimTime::from_ticks(15)).is_none());
         assert_eq!(s.pending(), 1);
+    }
+
+    /// Interleaved schedules and pops, some at the current tick, fire
+    /// exactly in `(time, insertion order)` order — checked against a
+    /// plain sort of everything scheduled.
+    #[test]
+    fn interleaved_schedules_fire_in_time_then_insertion_order() {
+        let mut s = Scheduler::new();
+        let mut scheduled: Vec<(u64, usize)> = Vec::new();
+        let mut fired: Vec<(u64, usize)> = Vec::new();
+        let mut x = 7u64;
+        for i in 0..2_000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let at = s.now().ticks() + (x >> 60);
+            s.schedule(SimTime::from_ticks(at), i);
+            scheduled.push((at, i));
+            if x >> 62 == 0 {
+                while let Some((t, e)) = s.pop_until(s.now()) {
+                    fired.push((t.ticks(), e));
+                }
+            } else if let Some((t, e)) = s.pop() {
+                fired.push((t.ticks(), e));
+            }
+        }
+        assert_eq!(s.pending(), scheduled.len() - fired.len());
+        while let Some((t, e)) = s.pop() {
+            fired.push((t.ticks(), e));
+        }
+        scheduled.sort();
+        assert_eq!(fired, scheduled);
+        assert!(s.is_empty());
     }
 
     struct Counter {

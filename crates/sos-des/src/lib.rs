@@ -6,8 +6,9 @@
 //!
 //! * **determinism** — identical schedules produce identical runs;
 //!   ties at the same timestamp are broken by insertion order (FIFO),
-//!   never by heap internals;
-//! * **cheap scheduling** — a binary heap keyed by `(time, seq)`;
+//!   never by queue internals;
+//! * **cheap scheduling** — pending events grouped by firing time in an
+//!   ordered map, one FIFO queue per time;
 //! * **separation of state and engine** — the engine owns the clock and
 //!   the queue; the caller owns the world state and interprets events.
 //!

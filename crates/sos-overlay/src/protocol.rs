@@ -30,7 +30,7 @@ use crate::overlay::Overlay;
 use sos_des::{run_until, Scheduler, SimTime, Simulation, StepOutcome};
 use sos_faults::FaultPlan;
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Protocol timing parameters, in simulated ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,17 +56,20 @@ impl Default for ProtocolConfig {
 /// Identifier-space size (bits).
 const ID_BITS: usize = 64;
 
-/// One protocol participant's local state.
+/// A participant's index in [`ChordProtocol`]'s node table, in join
+/// order. Slots are never reused: dead nodes keep theirs.
+type Slot = u32;
+
+/// One protocol participant's local state. Every pointer is a slot.
 #[derive(Debug, Clone)]
 struct ProtoNode {
+    id: u64,
     overlay: NodeId,
     alive: bool,
-    predecessor: Option<u64>,
+    predecessor: Option<Slot>,
     /// Successor list, nearest first. Invariant: non-empty for alive
     /// nodes that have joined.
-    successors: Vec<u64>,
-    /// `fingers[k] ≈ successor(id + 2^k)`; entries may be stale.
-    fingers: Vec<u64>,
+    successors: Vec<Slot>,
     next_finger: usize,
 }
 
@@ -80,11 +83,23 @@ pub enum MaintenanceEvent {
 }
 
 /// The protocol simulator: all participants plus their timers.
+///
+/// Chord ids appear only at the public API; inside, nodes live in an
+/// append-only table and point at each other by slot, so a routing
+/// step reads pointers without a map lookup. `ring` is the one ordered
+/// id → slot index (sorted by id, binary-searched), for the API
+/// boundary and the ring-order queries.
 #[derive(Debug, Clone)]
 pub struct ChordProtocol {
     cfg: ProtocolConfig,
-    nodes: BTreeMap<u64, ProtoNode>,
-    id_of_overlay: HashMap<NodeId, u64>,
+    nodes: Vec<ProtoNode>,
+    /// `fingers[s * ID_BITS + k] ≈ successor(id(s) + 2^k)`; entries may
+    /// be stale.
+    fingers: Vec<Slot>,
+    ring: Vec<(u64, Slot)>,
+    slot_of_overlay: HashMap<NodeId, Slot>,
+    /// Spare successor-list buffer that `stabilize` swaps in.
+    spare: Vec<Slot>,
     lookups_issued: Cell<u64>,
 }
 
@@ -93,15 +108,18 @@ impl ChordProtocol {
     pub fn new(cfg: ProtocolConfig) -> Self {
         ChordProtocol {
             cfg,
-            nodes: BTreeMap::new(),
-            id_of_overlay: HashMap::new(),
+            nodes: Vec::new(),
+            fingers: Vec::new(),
+            ring: Vec::new(),
+            slot_of_overlay: HashMap::new(),
+            spare: Vec::new(),
             lookups_issued: Cell::new(0),
         }
     }
 
     /// Number of alive participants.
     pub fn alive_count(&self) -> usize {
-        self.nodes.values().filter(|n| n.alive).count()
+        self.nodes.iter().filter(|n| n.alive).count()
     }
 
     /// Total lookups routed so far (join + fix-finger + client).
@@ -122,19 +140,7 @@ impl ChordProtocol {
         sched: &mut Scheduler<MaintenanceEvent>,
     ) {
         assert!(self.nodes.is_empty(), "bootstrap requires an empty network");
-        self.nodes.insert(
-            id,
-            ProtoNode {
-                overlay,
-                alive: true,
-                predecessor: None,
-                successors: vec![id],
-                fingers: vec![id; ID_BITS],
-                next_finger: 0,
-            },
-        );
-        self.id_of_overlay.insert(overlay, id);
-        self.schedule_timers(id, sched);
+        self.insert(id, overlay, 0, sched);
     }
 
     /// Joins a new node via an alive bootstrap contact and schedules its
@@ -150,30 +156,47 @@ impl ChordProtocol {
         via: u64,
         sched: &mut Scheduler<MaintenanceEvent>,
     ) {
-        assert!(!self.nodes.contains_key(&id), "chord id {id} already joined");
-        assert!(
-            self.nodes.get(&via).map(|n| n.alive).unwrap_or(false),
-            "bootstrap {via} is not an alive member"
-        );
+        assert!(self.slot(id).is_none(), "chord id {id} already joined");
+        let via = self
+            .slot(via)
+            .filter(|&s| self.node(s).alive)
+            .unwrap_or_else(|| panic!("bootstrap {via} is not an alive member"));
         // Under heavy churn the join lookup can dead-end in stale
         // state; join with the bootstrap itself as the approximate
         // successor in that case — stabilization corrects the position
         // within a few periods (weakly consistent join, as in Chord's
         // handling of concurrent operations).
-        let succ = self.lookup(via, id).unwrap_or(via);
-        self.nodes.insert(
+        let succ = self.route(via, id, None).map_or(via, |(owner, _)| owner);
+        self.insert(id, overlay, succ, sched);
+    }
+
+    /// Appends a node whose successor list and fingers all point at
+    /// `succ` (its own slot for the bootstrap node).
+    fn insert(
+        &mut self,
+        id: u64,
+        overlay: NodeId,
+        succ: Slot,
+        sched: &mut Scheduler<MaintenanceEvent>,
+    ) {
+        let slot = Slot::try_from(self.nodes.len()).expect("fewer than 2^32 participants");
+        self.nodes.push(ProtoNode {
             id,
-            ProtoNode {
-                overlay,
-                alive: true,
-                predecessor: None,
-                successors: vec![succ],
-                fingers: vec![succ; ID_BITS],
-                next_finger: 0,
-            },
+            overlay,
+            alive: true,
+            predecessor: None,
+            successors: vec![succ],
+            next_finger: 0,
+        });
+        self.fingers.extend([succ; ID_BITS]);
+        let pos = self.ring.partition_point(|&(x, _)| x < id);
+        self.ring.insert(pos, (id, slot));
+        self.slot_of_overlay.insert(overlay, slot);
+        sched.schedule_in(self.cfg.stabilize_interval, MaintenanceEvent::Stabilize(id));
+        sched.schedule_in(
+            self.cfg.fix_fingers_interval,
+            MaintenanceEvent::FixFingers(id),
         );
-        self.id_of_overlay.insert(overlay, id);
-        self.schedule_timers(id, sched);
     }
 
     /// Marks a node dead. Its state freezes; peers discover the failure
@@ -183,30 +206,25 @@ impl ChordProtocol {
     ///
     /// Panics if the id is unknown.
     pub fn kill(&mut self, id: u64) {
-        self.nodes
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown chord id {id}"))
-            .alive = false;
+        let slot = self.slot(id).unwrap_or_else(|| panic!("unknown chord id {id}"));
+        self.nodes[slot as usize].alive = false;
     }
 
     /// Whether the node with this Chord id is alive on the ring.
     pub fn is_alive(&self, id: u64) -> bool {
-        self.nodes.get(&id).map(|n| n.alive).unwrap_or(false)
+        self.slot(id).is_some_and(|s| self.node(s).alive)
     }
 
     /// The current successor list of `id`, nearest first (alive nodes
     /// only have meaningful lists; dead nodes' state is frozen).
-    pub fn successor_list_of(&self, id: u64) -> Option<&[u64]> {
-        self.nodes.get(&id).map(|n| n.successors.as_slice())
+    pub fn successor_list_of(&self, id: u64) -> Option<Vec<u64>> {
+        let node = self.node(self.slot(id)?);
+        Some(node.successors.iter().map(|&s| self.id_of(s)).collect())
     }
 
     /// Chord ids of all alive participants, in ring order.
     pub fn alive_ids(&self) -> Vec<u64> {
-        self.nodes
-            .iter()
-            .filter(|(_, n)| n.alive)
-            .map(|(&id, _)| id)
-            .collect()
+        self.alive_in_ring_order().map(|(id, _)| id).collect()
     }
 
     /// Mirrors overlay damage onto the ring: every overlay node that is
@@ -217,10 +235,8 @@ impl ChordProtocol {
     pub fn sync_overlay_damage(&mut self, overlay: &Overlay) {
         for node in overlay.overlay_ids() {
             if !overlay.is_good(node) {
-                if let Some(&id) = self.id_of_overlay.get(&node) {
-                    if let Some(p) = self.nodes.get_mut(&id) {
-                        p.alive = false;
-                    }
+                if let Some(&slot) = self.slot_of_overlay.get(&node) {
+                    self.nodes[slot as usize].alive = false;
                 }
             }
         }
@@ -233,37 +249,34 @@ impl ChordProtocol {
         overlay.overlay_ids().all(|node| {
             overlay.is_good(node)
                 || self
-                    .id_of_overlay
+                    .slot_of_overlay
                     .get(&node)
-                    .map(|id| !self.is_alive(*id))
-                    .unwrap_or(true)
+                    .is_none_or(|&s| !self.node(s).alive)
         })
     }
 
     /// The overlay node behind a Chord id, if alive.
     pub fn overlay_of(&self, id: u64) -> Option<NodeId> {
-        self.nodes.get(&id).filter(|n| n.alive).map(|n| n.overlay)
+        let node = self.node(self.slot(id)?);
+        node.alive.then_some(node.overlay)
     }
 
     /// The Chord id of an overlay node, if it ever joined (dead nodes
     /// keep their id; check liveness separately).
     pub fn chord_id_of(&self, overlay: NodeId) -> Option<u64> {
-        self.id_of_overlay.get(&overlay).copied()
+        self.slot_of_overlay.get(&overlay).map(|&s| self.id_of(s))
     }
 
     /// Ground truth: the alive successor of `key` by global knowledge.
     pub fn oracle_successor(&self, key: u64) -> Option<u64> {
-        let alive: Vec<u64> = self
-            .nodes
+        let (below, from_key) = self
+            .ring
+            .split_at(self.ring.partition_point(|&(x, _)| x < key));
+        from_key
             .iter()
-            .filter(|(_, n)| n.alive)
-            .map(|(&id, _)| id)
-            .collect();
-        if alive.is_empty() {
-            return None;
-        }
-        let pos = alive.partition_point(|&x| x < key);
-        Some(if pos == alive.len() { alive[0] } else { alive[pos] })
+            .chain(below)
+            .find(|&&(_, s)| self.node(s).alive)
+            .map(|&(id, _)| id)
     }
 
     /// Routes a lookup for `key` starting at alive node `from`, using
@@ -291,13 +304,30 @@ impl ChordProtocol {
         key: u64,
         plan: Option<&FaultPlan>,
     ) -> Option<(u64, usize)> {
+        let Some(from) = self.slot(from) else {
+            // An unknown node holds no pointers: its first step that is
+            // not misrouted dead-ends.
+            self.lookups_issued.set(self.lookups_issued.get() + 1);
+            if let Some(p) = plan {
+                for _ in 0..self.max_hops() {
+                    if !p.draw_misroute() {
+                        break;
+                    }
+                }
+            }
+            return None;
+        };
+        self.route(from, key, plan)
+            .map(|(owner, hops)| (self.id_of(owner), hops))
+    }
+
+    /// The iterative lookup behind [`lookup_with_hops`](Self::lookup_with_hops),
+    /// from a known slot.
+    fn route(&self, from: Slot, key: u64, plan: Option<&FaultPlan>) -> Option<(Slot, usize)> {
         self.lookups_issued.set(self.lookups_issued.get() + 1);
         let mut current = from;
         let mut hops = 0usize;
-        // n nodes is a hard bound for greedy progress; stale pointers can
-        // cause short non-progress bounces, so allow slack.
-        let max_hops = 2 * self.nodes.len() + ID_BITS;
-        for _ in 0..max_hops {
+        for _ in 0..self.max_hops() {
             // Byzantine misroute: the step went to the wrong node and
             // has to be reissued — a wasted hop, no progress.
             if let Some(p) = plan {
@@ -308,33 +338,36 @@ impl ChordProtocol {
             }
             match self.first_usable_successor(current, plan) {
                 Some(succ) => {
-                    if in_half_open_interval(current, succ, key) || succ == current {
+                    if succ == current
+                        || in_half_open_interval(self.id_of(current), self.id_of(succ), key)
+                    {
                         return Some((succ, hops + 1));
                     }
-                    match self.closest_preceding_usable(current, key, plan) {
-                        Some(next) if next != current => current = next,
-                        // No finger makes progress: fall through the
-                        // successor.
-                        _ => current = succ,
-                    }
+                    // No finger makes progress: fall through the
+                    // successor.
+                    current = self
+                        .closest_preceding_usable(current, key, plan)
+                        .unwrap_or(succ);
                 }
                 None => {
                     // The node's successor list died entirely; detour via
                     // any alive finger (no ownership claim possible from
                     // a blind node). Progress-toward-key fingers first.
-                    let next = self
+                    current = self
                         .closest_preceding_usable(current, key, plan)
                         .or_else(|| self.closest_usable_finger(current, plan))?;
-                    if next == current {
-                        return None;
-                    }
-                    current = next;
                 }
             }
             hops += 1;
         }
         // Routing loop among stale pointers — report the best guess.
         self.first_usable_successor(current, plan).map(|o| (o, hops))
+    }
+
+    /// n nodes is a hard bound for greedy progress; stale pointers can
+    /// cause short non-progress bounces, so allow slack.
+    fn max_hops(&self) -> usize {
+        2 * self.nodes.len() + ID_BITS
     }
 
     /// Degraded-mode delivery: abandon finger-table routing and walk
@@ -349,14 +382,15 @@ impl ChordProtocol {
         key: u64,
         plan: Option<&FaultPlan>,
     ) -> Option<(u64, usize)> {
-        let mut current = from;
+        let mut current = self.slot(from)?;
         let mut hops = 0usize;
         // Walking strictly clockwise visits each alive node at most once.
         for _ in 0..=self.nodes.len() {
             let succ = self.first_usable_successor(current, plan)?;
             hops += 1;
-            if in_half_open_interval(current, succ, key) || succ == current {
-                return Some((succ, hops));
+            if succ == current || in_half_open_interval(self.id_of(current), self.id_of(succ), key)
+            {
+                return Some((self.id_of(succ), hops));
             }
             current = succ;
         }
@@ -375,141 +409,137 @@ impl ChordProtocol {
     /// Fraction of alive nodes whose immediate successor pointer is
     /// correct.
     pub fn convergence_fraction(&self) -> f64 {
-        let alive: Vec<u64> = self
-            .nodes
-            .iter()
-            .filter(|(_, n)| n.alive)
-            .map(|(&id, _)| id)
-            .collect();
+        let alive: Vec<Slot> = self.alive_in_ring_order().map(|(_, s)| s).collect();
         if alive.len() <= 1 {
             return 1.0;
         }
         let correct = alive
             .iter()
             .enumerate()
-            .filter(|&(i, &id)| {
-                self.nodes[&id].successors.first().copied()
-                    == Some(alive[(i + 1) % alive.len()])
+            .filter(|&(i, &s)| {
+                self.node(s).successors.first() == Some(&alive[(i + 1) % alive.len()])
             })
             .count();
         correct as f64 / alive.len() as f64
     }
 
-    fn schedule_timers(&self, id: u64, sched: &mut Scheduler<MaintenanceEvent>) {
-        sched.schedule_in(self.cfg.stabilize_interval, MaintenanceEvent::Stabilize(id));
-        sched.schedule_in(
-            self.cfg.fix_fingers_interval,
-            MaintenanceEvent::FixFingers(id),
-        );
+    fn alive_in_ring_order(&self) -> impl Iterator<Item = (u64, Slot)> + '_ {
+        self.ring
+            .iter()
+            .copied()
+            .filter(|&(_, s)| self.node(s).alive)
+    }
+
+    fn slot(&self, id: u64) -> Option<Slot> {
+        let i = self.ring.binary_search_by_key(&id, |&(x, _)| x).ok()?;
+        Some(self.ring[i].1)
+    }
+
+    fn node(&self, slot: Slot) -> &ProtoNode {
+        &self.nodes[slot as usize]
+    }
+
+    fn id_of(&self, slot: Slot) -> u64 {
+        self.node(slot).id
+    }
+
+    fn fingers_of(&self, slot: Slot) -> &[Slot] {
+        let start = slot as usize * ID_BITS;
+        &self.fingers[start..start + ID_BITS]
     }
 
     /// Ring liveness plus (when a fault plan is active) benign-crash
     /// state: the node must be alive *and* not crashed by the fault
     /// plane to be used for routing.
-    fn usable(&self, id: u64, plan: Option<&FaultPlan>) -> bool {
-        match self.nodes.get(&id) {
-            Some(n) => {
-                n.alive && plan.is_none_or(|p| !p.is_crashed(n.overlay.0))
-            }
-            None => false,
-        }
+    fn usable(&self, slot: Slot, plan: Option<&FaultPlan>) -> bool {
+        let n = self.node(slot);
+        n.alive && plan.is_none_or(|p| !p.is_crashed(n.overlay.0))
     }
 
-    fn first_alive_successor(&self, id: u64) -> Option<u64> {
-        self.first_usable_successor(id, None)
-    }
-
-    fn first_usable_successor(&self, id: u64, plan: Option<&FaultPlan>) -> Option<u64> {
-        let node = self.nodes.get(&id)?;
-        node.successors
+    fn first_usable_successor(&self, slot: Slot, plan: Option<&FaultPlan>) -> Option<Slot> {
+        self.node(slot)
+            .successors
             .iter()
-            .find(|&&s| self.usable(s, plan))
             .copied()
+            .find(|&s| self.usable(s, plan))
     }
 
     /// Emergency repair source when a node's whole successor list has
-    /// died: the alive finger closest clockwise from `id` (the best
+    /// died: the alive finger closest clockwise from `slot` (the best
     /// local guess at the new immediate successor). Real Chord recovers
     /// the same way — successor lists bound the *instant* tolerance,
     /// fingers rebuild beyond it.
-    fn closest_alive_finger(&self, id: u64) -> Option<u64> {
-        self.closest_usable_finger(id, None)
-    }
-
-    fn closest_usable_finger(&self, id: u64, plan: Option<&FaultPlan>) -> Option<u64> {
-        let node = self.nodes.get(&id)?;
-        let mut best: Option<(u64, u64)> = None; // (clockwise distance from id, candidate)
-        for &cand in &node.fingers {
-            if cand == id {
+    ///
+    /// Distinct slots have distinct ids, so the minimum distance names
+    /// one candidate and the scan order cannot matter; liveness is
+    /// checked only for a candidate that would improve on the best.
+    fn closest_usable_finger(&self, slot: Slot, plan: Option<&FaultPlan>) -> Option<Slot> {
+        let id = self.id_of(slot);
+        let mut best: Option<(u64, Slot)> = None; // (clockwise distance from id, candidate)
+        for &cand in self.fingers_of(slot) {
+            if cand == slot {
                 continue;
             }
-            if !self.usable(cand, plan) {
-                continue;
-            }
-            let d = cand.wrapping_sub(id);
-            match best {
-                Some((bd, _)) if bd <= d => {}
-                _ => best = Some((d, cand)),
+            let d = self.id_of(cand).wrapping_sub(id);
+            if best.is_none_or(|(bd, _)| d < bd) && self.usable(cand, plan) {
+                best = Some((d, cand));
             }
         }
         best.map(|(_, c)| c)
     }
 
+    /// The usable finger or successor-list entry strictly between `at`
+    /// and `key` that is closest to `key` (same order argument as
+    /// [`closest_usable_finger`](Self::closest_usable_finger)).
     fn closest_preceding_usable(
         &self,
-        at: u64,
+        at: Slot,
         key: u64,
         plan: Option<&FaultPlan>,
-    ) -> Option<u64> {
-        let node = self.nodes.get(&at)?;
-        let mut best: Option<(u64, u64)> = None; // (distance to key, id)
-        for &cand in node.fingers.iter().chain(node.successors.iter()) {
+    ) -> Option<Slot> {
+        let at_id = self.id_of(at);
+        let mut best: Option<(u64, Slot)> = None; // (distance to key, candidate)
+        let candidates = self.fingers_of(at).iter().chain(&self.node(at).successors);
+        for &cand in candidates {
             if cand == at {
                 continue;
             }
-            if !self.usable(cand, plan) {
+            // Candidate must lie strictly between at and key (clockwise).
+            let cand_id = self.id_of(cand);
+            if !in_open_interval(at_id, key, cand_id) {
                 continue;
             }
-            // Candidate must lie strictly between at and key (clockwise).
-            if in_open_interval(at, key, cand) {
-                let d = key.wrapping_sub(cand);
-                match best {
-                    Some((bd, _)) if bd <= d => {}
-                    _ => best = Some((d, cand)),
-                }
+            let d = key.wrapping_sub(cand_id);
+            if best.is_none_or(|(bd, _)| d < bd) && self.usable(cand, plan) {
+                best = Some((d, cand));
             }
         }
-        best.map(|(_, id)| id)
+        best.map(|(_, c)| c)
     }
 
-    fn stabilize(&mut self, id: u64) {
-        let Some(node) = self.nodes.get(&id) else {
-            return;
-        };
-        if !node.alive {
-            return;
-        }
-        let succ = match self.first_alive_successor(id) {
+    fn stabilize(&mut self, slot: Slot) {
+        let id = self.id_of(slot);
+        let succ = match self.first_usable_successor(slot, None) {
             Some(succ) => succ,
             None => {
                 // Whole successor list dead: re-seed it from the closest
                 // alive finger; the normal mechanism takes over next
                 // round.
-                let Some(rescue) = self.closest_alive_finger(id) else {
+                let Some(rescue) = self.closest_usable_finger(slot, None) else {
                     return; // fully isolated node
                 };
-                if let Some(node) = self.nodes.get_mut(&id) {
-                    node.successors = vec![rescue];
-                }
+                let list = &mut self.nodes[slot as usize].successors;
+                list.clear();
+                list.push(rescue);
                 rescue
             }
         };
         // Adopt the successor's predecessor if it sits between us.
         let mut new_succ = succ;
-        if let Some(x) = self.nodes.get(&succ).and_then(|s| s.predecessor) {
-            if x != id
-                && self.nodes.get(&x).map(|n| n.alive).unwrap_or(false)
-                && in_open_interval(id, succ, x)
+        if let Some(x) = self.node(succ).predecessor {
+            if x != slot
+                && self.node(x).alive
+                && in_open_interval(id, self.id_of(succ), self.id_of(x))
             {
                 new_succ = x;
             }
@@ -519,55 +549,38 @@ impl ChordProtocol {
         // pointers circulating between lists long after the failure
         // (the check is free here; a real node learns the same from its
         // own timeout cache).
-        let mut list = vec![new_succ];
-        if let Some(s) = self.nodes.get(&new_succ) {
-            for &entry in &s.successors {
-                if entry != id
-                    && !list.contains(&entry)
-                    && self.nodes.get(&entry).map(|n| n.alive).unwrap_or(false)
-                {
-                    list.push(entry);
-                }
-                if list.len() >= self.cfg.successor_list_len {
-                    break;
-                }
+        let mut list = std::mem::take(&mut self.spare);
+        list.clear();
+        list.push(new_succ);
+        for &entry in &self.node(new_succ).successors {
+            if entry != slot && !list.contains(&entry) && self.node(entry).alive {
+                list.push(entry);
+            }
+            if list.len() >= self.cfg.successor_list_len {
+                break;
             }
         }
-        if let Some(node) = self.nodes.get_mut(&id) {
-            node.successors = list;
-        }
+        std::mem::swap(&mut self.nodes[slot as usize].successors, &mut list);
+        self.spare = list;
         // Notify: tell the successor about ourselves.
-        let adopt = match self.nodes.get(&new_succ).and_then(|s| s.predecessor) {
+        let adopt = match self.node(new_succ).predecessor {
             None => true,
             Some(p) => {
-                !self.nodes.get(&p).map(|n| n.alive).unwrap_or(false)
-                    || in_open_interval(p, new_succ, id)
+                !self.node(p).alive || in_open_interval(self.id_of(p), self.id_of(new_succ), id)
             }
         };
-        if adopt && new_succ != id {
-            if let Some(s) = self.nodes.get_mut(&new_succ) {
-                s.predecessor = Some(id);
-            }
+        if adopt && new_succ != slot {
+            self.nodes[new_succ as usize].predecessor = Some(slot);
         }
     }
 
-    fn fix_fingers(&mut self, id: u64) {
-        let Some(node) = self.nodes.get(&id) else {
-            return;
-        };
-        if !node.alive {
-            return;
+    fn fix_fingers(&mut self, slot: Slot) {
+        let k = self.node(slot).next_finger;
+        let target = self.id_of(slot).wrapping_add(1u64 << k);
+        if let Some((owner, _)) = self.route(slot, target, None) {
+            self.fingers[slot as usize * ID_BITS + k] = owner;
         }
-        let k = node.next_finger;
-        let target = id.wrapping_add(1u64 << k);
-        if let Some(owner) = self.lookup(id, target) {
-            if let Some(node) = self.nodes.get_mut(&id) {
-                node.fingers[k] = owner;
-            }
-        }
-        if let Some(node) = self.nodes.get_mut(&id) {
-            node.next_finger = (k + 1) % ID_BITS;
-        }
+        self.nodes[slot as usize].next_finger = (k + 1) % ID_BITS;
     }
 }
 
@@ -580,26 +593,18 @@ impl Simulation for ChordProtocol {
         event: MaintenanceEvent,
         sched: &mut Scheduler<MaintenanceEvent>,
     ) {
+        let (id, interval) = match event {
+            MaintenanceEvent::Stabilize(id) => (id, self.cfg.stabilize_interval),
+            MaintenanceEvent::FixFingers(id) => (id, self.cfg.fix_fingers_interval),
+        };
+        let Some(slot) = self.slot(id).filter(|&s| self.node(s).alive) else {
+            return;
+        };
         match event {
-            MaintenanceEvent::Stabilize(id) => {
-                if self.nodes.get(&id).map(|n| n.alive).unwrap_or(false) {
-                    self.stabilize(id);
-                    sched.schedule_in(
-                        self.cfg.stabilize_interval,
-                        MaintenanceEvent::Stabilize(id),
-                    );
-                }
-            }
-            MaintenanceEvent::FixFingers(id) => {
-                if self.nodes.get(&id).map(|n| n.alive).unwrap_or(false) {
-                    self.fix_fingers(id);
-                    sched.schedule_in(
-                        self.cfg.fix_fingers_interval,
-                        MaintenanceEvent::FixFingers(id),
-                    );
-                }
-            }
+            MaintenanceEvent::Stabilize(_) => self.stabilize(slot),
+            MaintenanceEvent::FixFingers(_) => self.fix_fingers(slot),
         }
+        sched.schedule_in(interval, event);
     }
 }
 

@@ -131,7 +131,7 @@ proptest! {
         for id in proto.alive_ids() {
             let list = proto.successor_list_of(id).unwrap();
             prop_assert!(!list.is_empty(), "alive node {id} has an empty list");
-            for &entry in list {
+            for &entry in &list {
                 prop_assert!(
                     proto.is_alive(entry),
                     "alive node {} retains dead successor {} after stabilize",
