@@ -132,7 +132,7 @@ fn reference_run(
             TransportKind::Direct => Transport::Direct,
             TransportKind::Chord => {
                 let members: Vec<NodeId> = overlay.overlay_ids().collect();
-                Transport::Chord(ChordRing::build_reference(&mut ring_rng, &members))
+                Transport::Chord(ChordRing::build_reference(&mut ring_rng, &members).0)
             }
         };
         OneBurstAttacker::new(budget).execute(&mut overlay, &mut rng);

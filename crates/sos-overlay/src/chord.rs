@@ -21,7 +21,10 @@
 //! Lookups are performed centrally over the ring state (this is a
 //! simulator, not a networked implementation), but only ever use the
 //! state a real Chord node would have: its own fingers and successor
-//! list.
+//! list. Neither is stored: both are functions of the sorted id array,
+//! so each hop derives just the entries its greedy step looks at (see
+//! `ChordRing::greedy_step`). A ring is its ids, members and position
+//! map, and building one costs an id draw and a sort.
 
 use crate::bitset::NodeBitSet;
 use crate::node::NodeId;
@@ -55,25 +58,15 @@ impl LookupOutcome {
 /// A Chord ring over a set of overlay nodes.
 #[derive(Debug, Clone)]
 pub struct ChordRing {
-    /// Ring positions sorted by identifier.
+    /// Identifier of each ring position, strictly ascending. Also the
+    /// ring's whole routing state: every node's fingers and successor
+    /// list are functions of this array (see `greedy_step`).
     ids: Vec<u64>,
     /// `members[pos]` is the overlay node at ring position `pos`.
     members: Vec<NodeId>,
     /// `position_of[node.index()]` = ring position, `u32::MAX` when the
     /// node is not on the ring (dense map: members are overlay ids).
     position_of: Vec<u32>,
-    /// `fingers[pos][k]` = position of `successor(ids[pos] + 2^k)`.
-    fingers: Vec<Vec<usize>>,
-    /// `successors[pos]` = the next `SUCCESSOR_LIST_LEN` positions.
-    successors: Vec<Vec<usize>>,
-    /// `steps[pos]` = the distinct clockwise position-offsets of every
-    /// finger and successor-list entry of `pos`, sorted ascending. Ids
-    /// ascend with ring position, so the clockwise distance to a key
-    /// strictly decreases along the arc from `pos` to the key's owner:
-    /// the greedy step (distance-argmin over alive candidates) is the
-    /// alive entry with the largest offset not past the owner, found by
-    /// scanning this table backward from the owner's offset.
-    steps: Vec<Vec<u32>>,
     /// Identifier-draw scratch reused by [`ChordRing::build_into`].
     pairs: Vec<(u64, NodeId)>,
 }
@@ -122,9 +115,6 @@ impl ChordRing {
             ids: Vec::new(),
             members: Vec::new(),
             position_of: Vec::new(),
-            fingers: Vec::new(),
-            successors: Vec::new(),
-            steps: Vec::new(),
             pairs: Vec::new(),
         };
         ring.build_into(rng, members);
@@ -132,8 +122,8 @@ impl ChordRing {
     }
 
     /// Rebuilds this ring in place over `members`, reusing every existing
-    /// allocation (identifier table, finger tables, successor lists,
-    /// draw scratch).
+    /// allocation (identifier table, members, position map, draw
+    /// scratch).
     ///
     /// Consumes the RNG identically to [`ChordRing::build`], so a reused
     /// ring is indistinguishable from a freshly built one at the same RNG
@@ -151,7 +141,7 @@ impl ChordRing {
         self.ids.extend(self.pairs.iter().map(|&(id, _)| id));
         self.members.clear();
         self.members.extend(self.pairs.iter().map(|&(_, m)| m));
-        self.rebuild_tables();
+        self.rebuild_positions();
     }
 
     /// Number of nodes on the ring.
@@ -199,7 +189,7 @@ impl ChordRing {
         let pos = self
             .position(node)
             .unwrap_or_else(|| panic!("{node} is not on the ring"));
-        self.members[self.successors[pos][0]]
+        self.members[(pos + 1) % self.len()]
     }
 
     /// Iterative Chord lookup of `key` starting at `from`, assuming all
@@ -257,7 +247,7 @@ impl ChordRing {
             if pos == owner_pos {
                 return Some((owner, hops));
             }
-            let next = self.best_alive_step(pos, owner_pos, &is_alive)?;
+            let next = self.greedy_step(pos, owner_pos, |c| is_alive(self.members[c]))?;
             debug_assert_ne!(next, pos, "routing must make progress");
             pos = next;
             if let Some(p) = path.as_deref_mut() {
@@ -300,17 +290,14 @@ impl ChordRing {
             if pos == owner_pos {
                 return Some((owner, hops));
             }
-            let next = self.successors[pos]
-                .iter()
-                .copied()
-                .find(|&s| s == owner_pos || is_alive(self.members[s]))?;
-            pos = next;
+            pos = self.successor_step(pos, |s| s == owner_pos || is_alive(self.members[s]))?;
         }
         None
     }
 
-    /// Adds a node with a fresh random identifier and rebuilds routing
-    /// state (the simulation-grade equivalent of join + stabilization).
+    /// Adds a node with a fresh random identifier (the simulation-grade
+    /// equivalent of join + stabilization: routing state is derived from
+    /// the ids, so it is current at once).
     ///
     /// # Panics
     ///
@@ -324,10 +311,10 @@ impl ChordRing {
         let insert_at = self.ids.partition_point(|&x| x < id);
         self.ids.insert(insert_at, id);
         self.members.insert(insert_at, node);
-        self.rebuild_tables();
+        self.rebuild_positions();
     }
 
-    /// Removes a node and rebuilds routing state.
+    /// Removes a node.
     ///
     /// # Panics
     ///
@@ -339,7 +326,7 @@ impl ChordRing {
         assert!(self.len() > 1, "cannot remove the last ring node");
         self.ids.remove(pos);
         self.members.remove(pos);
-        self.rebuild_tables();
+        self.rebuild_positions();
     }
 
     /// Position of the first node with identifier `>= key` (wrapping).
@@ -347,66 +334,99 @@ impl ChordRing {
         successor_position_in(&self.ids, key)
     }
 
-    /// The best alive next hop from `pos` toward `key` (whose owner is
-    /// at `owner_pos`).
-    ///
-    /// Classic Chord greedy step: jump straight to the key's owner if it
-    /// is in our routing state; otherwise move to the alive finger or
-    /// successor-list entry that is the closest *preceding* node of the
-    /// key (strictly closer than we are). The clockwise distance to the
-    /// key strictly decreases every step, which guarantees termination.
-    ///
-    /// Resolved via the precomputed offset table: ids ascend with ring
-    /// position, so candidates in the arc `(pos, owner_pos]` are exactly
-    /// those strictly closer to the key than `pos` (the owner counted by
-    /// fiat), and distance decreases with offset along that arc — the
-    /// distance-argmin over alive candidates is the alive entry with the
-    /// largest offset not past the owner. A backward scan finds it in a
-    /// handful of probes instead of a distance computation per entry.
-    fn best_alive_step<F>(&self, pos: usize, owner_pos: usize, is_alive: &F) -> Option<usize>
-    where
-        F: Fn(NodeId) -> bool,
-    {
-        let n = self.len();
-        let owner_off = (owner_pos + n - pos) % n;
-        let offs = &self.steps[pos];
-        let hi = offs.partition_point(|&o| (o as usize) <= owner_off);
-        for &o in offs[..hi].iter().rev() {
-            let mut cand = pos + o as usize;
-            if cand >= n {
-                cand -= n;
-            }
-            if is_alive(self.members[cand]) {
-                return Some(cand);
-            }
+    /// Position `off` steps clockwise of `pos` (`off < n`).
+    #[inline]
+    fn advance(&self, pos: usize, off: usize) -> usize {
+        let p = pos + off;
+        if p >= self.len() {
+            p - self.len()
+        } else {
+            p
         }
-        None
     }
 
-    /// Rebuilds position, successor-list and finger-table state from
-    /// `ids`/`members`, reusing existing allocations.
+    /// The greedy next hop from `pos` toward a key whose owner is at
+    /// `owner_pos` (`!= pos`): Chord's closest preceding alive node among
+    /// `pos`'s fingers and successor list, or the owner itself when it
+    /// is one of them and `alive` accepts it. Every candidate is strictly
+    /// closer to the key than `pos`, so each step makes progress and a
+    /// lookup terminates.
     ///
-    /// Finger tables are built level-batched over the sorted id array
-    /// (structure-of-arrays order): for a fixed finger level `k`, the
-    /// targets `ids[p] + 2^k` are themselves sorted in `p` (up to one
-    /// wrap split), so one monotone two-pointer merge resolves that
-    /// level for *every* node in O(n) — where the per-node construction
-    /// pays a `log n` binary search per level. Levels with
-    /// `2^k <=` the minimum clockwise gap (including the wrap gap)
-    /// resolve to the ring successor for every node and dedup away, so
-    /// they are skipped outright — at simulation scales (min gap ≈
-    /// `2^64 / n²`) that skips well over half the 64 levels. The result
-    /// is identical to the exhaustive per-`k` scan (see
-    /// [`ChordRing::build_reference`] and the oracle tests).
+    /// Ids ascend with ring position, so the candidates in the arc
+    /// `(pos, owner_pos]` are exactly those strictly closer to the key
+    /// (the owner by fiat), and the distance to the key falls as the
+    /// clockwise offset from `pos` grows: the distance-argmin over alive
+    /// candidates is the first alive one in descending offset order.
+    /// That order is produced without tables. Finger `k` is the first
+    /// node at clockwise id distance `>= 2^k`, so the fingers in the arc
+    /// are the levels `k <= floor(log2(dist))`, with `dist` the id
+    /// distance to the owner, and their offsets do not increase as `k`
+    /// falls. Each is one binary search over offsets, bounded above by
+    /// the previous finger. The successor list covers every offset in
+    /// `1..=min(SUCCESSOR_LIST_LEN, owner offset)`, so the finger walk
+    /// stops at the first finger inside that range and the successors
+    /// follow in descending order.
+    fn greedy_step(
+        &self,
+        pos: usize,
+        owner_pos: usize,
+        alive: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        let n = self.len();
+        let owner_off = (owner_pos + n - pos) % n;
+        let succ_top = SUCCESSOR_LIST_LEN.min(owner_off);
+        let dist = self.ids[owner_pos].wrapping_sub(self.ids[pos]);
+        let mut last = owner_off + 1;
+        for level in (0..=dist.ilog2()).rev() {
+            let off = self.first_offset_reaching(pos, 1 << level, succ_top, last.min(owner_off));
+            if off == succ_top {
+                break;
+            }
+            if off < last {
+                last = off;
+                let cand = self.advance(pos, off);
+                if alive(cand) {
+                    return Some(cand);
+                }
+            }
+        }
+        (1..=succ_top)
+            .rev()
+            .map(|off| self.advance(pos, off))
+            .find(|&c| alive(c))
+    }
+
+    /// The smallest offset `o` in `lo..=hi` whose node lies at clockwise
+    /// id distance `>= span` from `pos`, given that the node at `hi`
+    /// does (or `lo` when every node in the range does).
+    fn first_offset_reaching(&self, pos: usize, span: u64, mut lo: usize, mut hi: usize) -> usize {
+        let base = self.ids[pos];
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.ids[self.advance(pos, mid)].wrapping_sub(base) < span {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The first position of `pos`'s successor list, nearest first,
+    /// that `accept` takes: the successor walks' one step.
+    fn successor_step(&self, pos: usize, accept: impl Fn(usize) -> bool) -> Option<usize> {
+        (1..=SUCCESSOR_LIST_LEN.min(self.len() - 1))
+            .map(|k| self.advance(pos, k))
+            .find(|&s| accept(s))
+    }
+
+    /// Refills the dense position map (`u32::MAX` = absent) from
+    /// `members`; the map is sized to the largest member id.
     ///
     /// # Panics
     ///
     /// Panics if `members` contains duplicates.
-    fn rebuild_tables(&mut self) {
-        let n = self.len();
-
-        // Dense position map (u32::MAX = absent). Refill from scratch;
-        // the table is sized to the largest member id.
+    fn rebuild_positions(&mut self) {
         let max_index = self.members.iter().map(|m| m.index()).max().unwrap_or(0);
         self.position_of.clear();
         self.position_of.resize(max_index + 1, u32::MAX);
@@ -415,102 +435,21 @@ impl ChordRing {
             assert_eq!(*slot, u32::MAX, "duplicate members");
             *slot = p as u32;
         }
-
-        // Successor lists depend only on `n` (entries are `(p+k) % n`),
-        // so a rebuild at unchanged ring size — the per-trial hot case —
-        // reuses them untouched. The lists are only ever written here,
-        // always consistently with their length, so `len == n` with the
-        // right per-list length certifies them.
-        let list_len = SUCCESSOR_LIST_LEN.min(n.saturating_sub(1));
-        let successors_valid = self.successors.len() == n
-            && self.successors.first().is_none_or(|l| l.len() == list_len);
-        if !successors_valid {
-            for list in &mut self.successors {
-                list.clear();
-            }
-            self.successors.resize_with(n, Vec::new);
-            for (p, list) in self.successors.iter_mut().enumerate() {
-                list.clear();
-                list.extend((1..=list_len).map(|k| (p + k) % n));
-            }
-        }
-
-        for table in &mut self.fingers {
-            table.clear();
-        }
-        self.fingers.resize_with(n, Vec::new);
-        let ids = &self.ids;
-        if n == 1 {
-            self.fingers[0].push(0);
-            self.rebuild_steps();
-            return;
-        }
-        // Every table starts at the ring successor: each level `k` with
-        // `2^k` inside the successor gap resolves there and dedups away.
-        for (p, table) in self.fingers.iter_mut().enumerate() {
-            table.push((p + 1) % n);
-        }
-        // Minimum clockwise gap, wrap gap included: a level whose span
-        // fits inside *every* gap lands each target strictly between a
-        // node and its successor, so the whole level dedups away and is
-        // skipped without a scan.
-        let mut min_gap = ids[0].wrapping_sub(ids[n - 1]);
-        for w in ids.windows(2) {
-            min_gap = min_gap.min(w[1] - w[0]);
-        }
-        for k in 0..ID_BITS {
-            let d = 1u64 << k;
-            if d <= min_gap {
-                continue;
-            }
-            // `ids` is sorted, so within each of the two segments below
-            // the targets ascend in `p` and the circular lower bound
-            // `s(p)` ascends with them — one forward-only merge pointer
-            // per segment resolves the level in O(n).
-            //
-            // Segment A: `ids[p] + d` does not overflow. Targets are the
-            // absolute values `ids[p] + d`; a target past the largest id
-            // wraps to position 0.
-            let no_overflow = ids.partition_point(|&id| id <= u64::MAX - d);
-            let mut q = 0usize;
-            for p in 0..no_overflow {
-                let t = ids[p] + d;
-                while q < n && ids[q] < t {
-                    q += 1;
-                }
-                let s = if q == n { 0 } else { q };
-                let table = &mut self.fingers[p];
-                if *table.last().expect("table is non-empty") != s {
-                    table.push(s);
-                }
-            }
-            // Segment B: `ids[p] + d` wraps past zero. The wrapped
-            // targets are again ascending in `p` (same offset, larger
-            // bases), and always land at or before `p` itself.
-            let mut q = 0usize;
-            for p in no_overflow..n {
-                let t = ids[p].wrapping_add(d);
-                while q < n && ids[q] < t {
-                    q += 1;
-                }
-                let s = if q == n { 0 } else { q };
-                let table = &mut self.fingers[p];
-                if *table.last().expect("table is non-empty") != s {
-                    table.push(s);
-                }
-            }
-        }
-        self.rebuild_steps();
     }
 
-    /// Exhaustive reference construction: identical RNG consumption and
-    /// output to [`ChordRing::build`], but finger tables are built with
-    /// the original per-`k` binary-search scan and all routing state is
-    /// freshly allocated. Kept as the correctness oracle for the
-    /// gap-shortcut construction and as the "before" cost model for the
-    /// perf baseline.
+    /// Exhaustive reference construction, the test oracle for the
+    /// derived routing state: the ring [`ChordRing::build`] would return
+    /// for the same RNG state (draw for draw), plus the classic tables
+    /// built the original way, freshly allocated. `fingers[pos]` holds
+    /// the position of `successor(ids[pos] + 2^k)` for every `k`
+    /// (consecutive repeats removed) and `successors[pos]` the next
+    /// `min(SUCCESSOR_LIST_LEN, n - 1)` positions. Also the "before"
+    /// cost model of the perf baseline.
     #[doc(hidden)]
-    pub fn build_reference<R: Rng + ?Sized>(rng: &mut R, members: &[NodeId]) -> Self {
+    pub fn build_reference<R: Rng + ?Sized>(
+        rng: &mut R,
+        members: &[NodeId],
+    ) -> (Self, Vec<Vec<usize>>, Vec<Vec<usize>>) {
         assert!(!members.is_empty(), "a Chord ring needs at least one node");
         let unique: HashSet<_> = members.iter().collect();
         assert_eq!(unique.len(), members.len(), "duplicate members");
@@ -552,17 +491,13 @@ impl ChordRing {
             })
             .collect();
 
-        let mut ring = ChordRing {
+        let ring = ChordRing {
             ids,
             members,
             position_of,
-            fingers,
-            successors,
-            steps: Vec::new(),
             pairs: Vec::new(),
         };
-        ring.rebuild_steps();
-        ring
+        (ring, fingers, successors)
     }
 
     /// Fills `mask` with the ring *positions* whose member satisfies
@@ -637,7 +572,8 @@ impl ChordRing {
             if pos == owner_pos {
                 return Some((owner, hops));
             }
-            let next = self.best_alive_step_masked(pos, owner_pos, from_pos, alive)?;
+            let next =
+                self.greedy_step(pos, owner_pos, |c| c == from_pos || alive.contains_index(c))?;
             debug_assert_ne!(next, pos, "routing must make progress");
             pos = next;
             if let Some(t) = trace.as_deref_mut() {
@@ -674,64 +610,11 @@ impl ChordRing {
             if pos == owner_pos {
                 return Some((owner, hops));
             }
-            let next = self.successors[pos]
-                .iter()
-                .copied()
-                .find(|&s| s == owner_pos || s == from_pos || alive.contains_index(s))?;
-            pos = next;
+            pos = self.successor_step(pos, |s| {
+                s == owner_pos || s == from_pos || alive.contains_index(s)
+            })?;
         }
         None
-    }
-
-    /// [`ChordRing::best_alive_step`] over a position-indexed liveness
-    /// mask (`from_pos` counts as alive). Same backward offset-table
-    /// scan; the typical step costs one or two mask probes.
-    fn best_alive_step_masked(
-        &self,
-        pos: usize,
-        owner_pos: usize,
-        from_pos: usize,
-        alive: &NodeBitSet,
-    ) -> Option<usize> {
-        let n = self.len();
-        let owner_off = (owner_pos + n - pos) % n;
-        let offs = &self.steps[pos];
-        let hi = offs.partition_point(|&o| (o as usize) <= owner_off);
-        for &o in offs[..hi].iter().rev() {
-            let mut cand = pos + o as usize;
-            if cand >= n {
-                cand -= n;
-            }
-            if cand == from_pos || alive.contains_index(cand) {
-                return Some(cand);
-            }
-        }
-        None
-    }
-
-    /// Rebuilds `steps` (the sorted clockwise-offset form of each node's
-    /// candidate set) from the current finger tables and successor
-    /// lists, reusing existing allocations.
-    fn rebuild_steps(&mut self) {
-        let n = self.len();
-        for table in &mut self.steps {
-            table.clear();
-        }
-        self.steps.resize_with(n, Vec::new);
-        let fingers = &self.fingers;
-        let successors = &self.successors;
-        for (p, table) in self.steps.iter_mut().enumerate() {
-            table.clear();
-            table.extend(
-                fingers[p]
-                    .iter()
-                    .chain(successors[p].iter())
-                    .map(|&c| ((c + n - p) % n) as u32)
-                    .filter(|&o| o != 0),
-            );
-            table.sort_unstable();
-            table.dedup();
-        }
     }
 }
 
@@ -762,13 +645,23 @@ mod tests {
         b.wrapping_sub(a)
     }
 
-    /// The greedy step as the pre-offset-table implementation computed
-    /// it: scan every finger and successor-list entry, take the owner
+    /// A ring of `n` nodes plus its reference finger tables and
+    /// successor lists (see [`ChordRing::build_reference`]).
+    fn reference(n: u32, seed: u64) -> (ChordRing, Vec<Vec<usize>>, Vec<Vec<usize>>) {
+        let members: Vec<NodeId> = (0..n).map(NodeId).collect();
+        ChordRing::build_reference(&mut StdRng::seed_from_u64(seed), &members)
+    }
+
+    /// The greedy step as the table-based implementation computed it:
+    /// scan every finger and successor-list entry, take the owner
     /// outright if present and alive, else the distance-argmin among
     /// alive candidates strictly closer to the key. Oracle for
-    /// `best_alive_step_masked`'s backward offset scan.
+    /// `greedy_step`.
+    #[allow(clippy::too_many_arguments)]
     fn distance_scan_step(
         r: &ChordRing,
+        fingers: &[Vec<usize>],
+        successors: &[Vec<usize>],
         pos: usize,
         owner_pos: usize,
         key: u64,
@@ -777,7 +670,7 @@ mod tests {
     ) -> Option<usize> {
         let my_dist = clockwise_distance(r.ids[pos], key);
         let mut best: Option<(u64, usize)> = None;
-        for &cand in r.fingers[pos].iter().chain(r.successors[pos].iter()) {
+        for &cand in fingers[pos].iter().chain(successors[pos].iter()) {
             if cand == pos {
                 continue;
             }
@@ -800,14 +693,20 @@ mod tests {
 
     #[test]
     fn offset_scan_step_matches_distance_scan() {
-        for (n, seed) in [(3u32, 11u64), (40, 12), (100, 13), (333, 14)] {
-            let r = ring(n, seed);
+        for (n, seed) in [
+            (2u32, 10u64),
+            (3, 11),
+            (17, 15),
+            (40, 12),
+            (100, 13),
+            (333, 14),
+            (1_000, 16),
+        ] {
+            let (r, fingers, successors) = reference(n, seed);
             let n = n as usize;
             let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
             let mut alive = NodeBitSet::new();
             for _ in 0..400 {
-                let salt = rng.gen::<u64>();
-                r.fill_alive_positions(|m| (m.0 as u64).wrapping_mul(salt) % 10 < 7, &mut alive);
                 let key = rng.gen::<u64>();
                 let owner_pos = r.successor_position(key);
                 let pos = rng.gen_range(0..n);
@@ -815,11 +714,43 @@ mod tests {
                     continue;
                 }
                 let from_pos = rng.gen_range(0..n);
-                assert_eq!(
-                    r.best_alive_step_masked(pos, owner_pos, from_pos, &alive),
-                    distance_scan_step(&r, pos, owner_pos, key, from_pos, &alive),
-                    "n {n} pos {pos} owner {owner_pos} from {from_pos} key {key}"
-                );
+                // A random 70%-alive mask, then the adversarial ones:
+                // everything dead but `from`, only the owner alive, and
+                // every other position alive.
+                let salt = rng.gen::<u64>();
+                for mask in 0..4 {
+                    match mask {
+                        0 => r.fill_alive_positions(
+                            |m| (m.0 as u64).wrapping_mul(salt) % 10 < 7,
+                            &mut alive,
+                        ),
+                        1 => alive.clear(),
+                        2 => {
+                            alive.clear();
+                            alive.insert_index(owner_pos);
+                        }
+                        _ => {
+                            alive.fill_first(n);
+                            for p in (1..n).step_by(2) {
+                                alive.remove_index(p);
+                            }
+                        }
+                    }
+                    assert_eq!(
+                        r.greedy_step(pos, owner_pos, |c| c == from_pos || alive.contains_index(c)),
+                        distance_scan_step(
+                            &r,
+                            &fingers,
+                            &successors,
+                            pos,
+                            owner_pos,
+                            key,
+                            from_pos,
+                            &alive
+                        ),
+                        "n {n} pos {pos} owner {owner_pos} from {from_pos} key {key} mask {mask}"
+                    );
+                }
             }
         }
     }
@@ -975,18 +906,16 @@ mod tests {
         assert_eq!(a.ids, b.ids);
         assert_eq!(a.members, b.members);
         assert_eq!(a.position_of, b.position_of);
-        assert_eq!(a.successors, b.successors);
-        assert_eq!(a.fingers, b.fingers);
     }
 
     #[test]
-    fn gap_shortcut_matches_reference_construction() {
+    fn build_matches_reference_construction() {
         for (n, seed) in [(1u32, 0u64), (2, 1), (3, 2), (17, 3), (64, 4), (500, 5)] {
             let members: Vec<NodeId> = (0..n).map(NodeId).collect();
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
             let fast = ChordRing::build(&mut rng_a, &members);
-            let reference = ChordRing::build_reference(&mut rng_b, &members);
+            let (reference, _, _) = ChordRing::build_reference(&mut rng_b, &members);
             assert_same_ring(&fast, &reference);
             assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
         }
@@ -1080,22 +1009,69 @@ mod tests {
         assert!(spliced > 100, "walks should yield intermediates: {spliced}");
     }
 
+    /// The successor walk over the reference successor lists (`from`
+    /// counts as alive, as in the masked walk).
+    fn reference_successor_walk(
+        successors: &[Vec<usize>],
+        from_pos: usize,
+        owner_pos: usize,
+        alive: &NodeBitSet,
+    ) -> Option<usize> {
+        if !(owner_pos == from_pos || alive.contains_index(owner_pos)) {
+            return None;
+        }
+        let mut pos = from_pos;
+        for hops in 0..successors.len() {
+            if pos == owner_pos {
+                return Some(hops);
+            }
+            pos = successors[pos]
+                .iter()
+                .copied()
+                .find(|&s| s == owner_pos || s == from_pos || alive.contains_index(s))?;
+        }
+        None
+    }
+
     #[test]
-    fn rebuild_across_sizes_keeps_successor_lists_correct() {
-        // The successor-list fast path skips the rebuild when n is
-        // unchanged; cycle through sizes (n, other n, back) and check
-        // every list against its definition.
+    fn successor_walks_match_reference_lists_across_sizes() {
+        // One reused ring cycled through sizes (n, other n, back), each
+        // checked against the reference lists of a fresh build.
         let mut r = ring(64, 40);
-        for n in [64u32, 64, 200, 17, 17, 1, 64] {
+        let mut alive = NodeBitSet::new();
+        for n in [64u32, 64, 200, 17, 17, 2, 1, 3, 64] {
             let members: Vec<NodeId> = (0..n).map(NodeId).collect();
-            let mut rng = StdRng::seed_from_u64(u64::from(n) + 1000);
-            r.build_into(&mut rng, &members);
-            let n = n as usize;
-            let list_len = SUCCESSOR_LIST_LEN.min(n - 1);
-            assert_eq!(r.successors.len(), n);
-            for (p, list) in r.successors.iter().enumerate() {
-                let expect: Vec<usize> = (1..=list_len).map(|k| (p + k) % n).collect();
-                assert_eq!(*list, expect, "position {p} of {n}");
+            let seed = u64::from(n) + 1000;
+            r.build_into(&mut StdRng::seed_from_u64(seed), &members);
+            let (_, _, successors) = reference(n, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xFACE);
+            for (p, list) in successors.iter().enumerate() {
+                let succ = list.first().copied().unwrap_or(p);
+                assert_eq!(
+                    r.successor(r.members[p]),
+                    r.members[succ],
+                    "position {p} of {n}"
+                );
+            }
+            for _ in 0..200 {
+                let dead = rng.gen_range(0..10u64);
+                let salt = rng.gen::<u64>();
+                r.fill_alive_positions(
+                    |m| (m.0 as u64).wrapping_mul(salt) % 10 >= dead,
+                    &mut alive,
+                );
+                let key = rng.gen::<u64>();
+                let from = NodeId(rng.gen_range(0..n));
+                let (from_pos, owner_pos) = (r.position(from).unwrap(), r.successor_position(key));
+                let expect = reference_successor_walk(&successors, from_pos, owner_pos, &alive);
+                let walked = r.successor_walk_hops_masked(from, key, &alive);
+                assert_eq!(walked, expect.map(|h| (r.members[owner_pos], h)), "n {n}");
+                if alive.contains_index(from_pos) {
+                    let by_closure = r.successor_walk_hops(from, key, |m| {
+                        alive.contains_index(r.position(m).unwrap())
+                    });
+                    assert_eq!(by_closure, walked, "n {n}");
+                }
             }
         }
     }

@@ -742,7 +742,11 @@ impl SweepExecutor {
     }
 }
 
-/// Crash-safe whole-file replacement: temp file + fsync + rename.
+/// Crash-safe whole-file replacement: temp file + fsync + rename +
+/// fsync of the parent directory. The directory sync makes the rename
+/// itself durable before this returns, so a caller that deletes the
+/// journal next cannot have that deletion survive a power cut the
+/// rename did not.
 fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
@@ -752,7 +756,17 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         file.write_all(bytes)?;
         file.sync_all()?;
     }
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    std::fs::File::open(parent_dir(path))?.sync_all()
+}
+
+/// The directory holding `path`: its parent, or `.` for a bare file
+/// name (whose `parent()` is empty).
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
 }
 
 impl Default for SweepExecutor {
@@ -997,6 +1011,26 @@ mod tests {
         );
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(journal_path(&path));
+    }
+
+    #[test]
+    fn atomic_writes_replace_the_file_and_sync_its_directory() {
+        assert_eq!(parent_dir(Path::new("cache.json")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("out/cache.json")), Path::new("out"));
+        assert_eq!(parent_dir(Path::new("/cache.json")), Path::new("/"));
+
+        let dir = std::env::temp_dir().join("sos-sweep-cache-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("atomic-{}.json", std::process::id()));
+        write_atomic(&path, b"old").unwrap();
+        write_atomic(&path, b"new").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        let mut tmp = path.as_os_str().to_os_string();
+        tmp.push(".tmp");
+        assert!(!Path::new(&tmp).exists(), "the temp file is renamed away");
+        // A directory that does not exist fails the write, not silently.
+        assert!(write_atomic(&dir.join("missing/cache.json"), b"x").is_err());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
