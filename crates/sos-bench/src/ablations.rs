@@ -26,7 +26,8 @@ use sos_faults::{FaultConfig, RetryPolicy};
 use sos_sim::engine::{SimulationConfig, TransportKind};
 use sos_sim::repair::{AttackerPersistence, RepairConfig, RepairSimulation};
 use sos_sim::routing::RoutingPolicy;
-use sos_sim::{compare_models, run_sweep, ComparisonRow};
+use sos_sim::{compare_models, pool_map, run_sweep, ComparisonRow};
+use std::sync::Mutex;
 
 /// Monte Carlo sizing shared by the ablations.
 #[derive(Debug, Clone, Copy)]
@@ -239,10 +240,14 @@ pub fn chord_ablation(opts: AblationOptions) -> SweepTable {
 }
 
 /// `ext-repair`: `P_S(t)` over repair steps for stale vs adaptive
-/// attackers (the paper's named future work).
+/// attackers (the paper's named future work). One pool job per
+/// persistence.
 pub fn repair_extension(opts: AblationOptions) -> SweepTable {
+    const PERSISTENCES: [AttackerPersistence; 2] =
+        [AttackerPersistence::Stale, AttackerPersistence::Adaptive];
     let mut table = SweepTable::new("ext-repair", "t", "P_S");
-    for persistence in [AttackerPersistence::Stale, AttackerPersistence::Adaptive] {
+    table.series = pool_map(PERSISTENCES.len(), move |k| {
+        let persistence = PERSISTENCES[k];
         let sim = RepairSimulation::new(
             ablation_scenario(MappingDegree::OneTo(2)),
             AttackConfig::Successive {
@@ -255,7 +260,7 @@ pub fn repair_extension(opts: AblationOptions) -> SweepTable {
             opts.seed,
         );
         let timeline = sim.run();
-        table.push(SweepSeries {
+        SweepSeries {
             label: persistence.label().to_string(),
             points: timeline
                 .steps
@@ -265,8 +270,8 @@ pub fn repair_extension(opts: AblationOptions) -> SweepTable {
                     y: s.ps,
                 })
                 .collect(),
-        });
-    }
+        }
+    });
     table
 }
 
@@ -446,30 +451,31 @@ pub fn latency_frontier() -> Vec<sos_analysis::DesignPoint> {
 
 /// `ext-flow`: delivery probability as a function of per-slot attack
 /// load (capacity model), with the binary model as the crushing-load
-/// limit.
+/// limit. One pool job per load ratio; the binary reference goes
+/// through the sweep executor afterwards.
 pub fn flow_extension(opts: AblationOptions) -> SweepTable {
     use sos_sim::{FlowModel, FlowSimulation};
+    const RATIOS: [f64; 7] = [0.1, 0.3, 1.0, 3.0, 10.0, 100.0, 1e6];
     let mut table = SweepTable::new("ext-flow", "load_per_slot_over_capacity", "P_S");
     let attack = AttackConfig::OneBurst {
         budget: AttackBudget::new(50, 300),
     };
     let capacity = 100.0;
-    let mut points = Vec::new();
-    for ratio in [0.1, 0.3, 1.0, 3.0, 10.0, 100.0, 1e6] {
+    let points = pool_map(RATIOS.len(), move |k| {
         let result = FlowSimulation::new(
             ablation_scenario(MappingDegree::OneTo(2)),
             attack,
-            FlowModel::new(capacity, capacity * ratio),
+            FlowModel::new(capacity, capacity * RATIOS[k]),
             opts.trials,
             opts.routes_per_trial,
             opts.seed,
         )
         .run();
-        points.push(SweepPoint {
-            x: ratio,
+        SweepPoint {
+            x: RATIOS[k],
             y: result.delivery_rate(),
-        });
-    }
+        }
+    });
     table.push(SweepSeries {
         label: "flow model".to_string(),
         points,
@@ -485,7 +491,7 @@ pub fn flow_extension(opts: AblationOptions) -> SweepTable {
     .remove(0);
     table.push(SweepSeries {
         label: "binary model".to_string(),
-        points: [0.1, 0.3, 1.0, 3.0, 10.0, 100.0, 1e6]
+        points: RATIOS
             .iter()
             .map(|&x| SweepPoint {
                 x,
@@ -498,7 +504,8 @@ pub fn flow_extension(opts: AblationOptions) -> SweepTable {
 
 /// `ext-stabilization`: Chord-protocol recovery after mass failure —
 /// strict-convergence fraction vs maintenance time, for several failure
-/// fractions.
+/// fractions. The converged ring is built once; each kill fraction is
+/// one pool job on its own copy.
 pub fn stabilization_extension() -> SweepTable {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -506,30 +513,40 @@ pub fn stabilization_extension() -> SweepTable {
     use sos_overlay::protocol::{run_maintenance, ChordProtocol, ProtocolConfig};
     use sos_overlay::NodeId;
 
+    const KILL_FRACTIONS: [f64; 3] = [0.1, 0.25, 0.4];
     let mut table = SweepTable::new("ext-stabilization", "t", "converged_fraction");
-    for kill_fraction in [0.1f64, 0.25, 0.4] {
-        let mut rng = StdRng::seed_from_u64(2004);
-        let mut proto = ChordProtocol::new(ProtocolConfig::default());
-        let mut sched = Scheduler::new();
-        // Build a 128-node ring and converge it.
-        let mut ids = Vec::new();
-        for i in 0..128u32 {
-            let mut id = rng.gen::<u64>();
-            while ids.contains(&id) {
-                id = rng.gen::<u64>();
-            }
-            ids.push(id);
-            if i == 0 {
-                proto.bootstrap(id, NodeId(i), &mut sched);
-            } else {
-                let via = ids[rng.gen_range(0..i as usize)];
-                proto.join(id, NodeId(i), via, &mut sched);
-                let now = sched.now();
-                run_maintenance(&mut proto, &mut sched, now + 30);
-            }
+    let mut rng = StdRng::seed_from_u64(2004);
+    let mut proto = ChordProtocol::new(ProtocolConfig::default());
+    let mut sched = Scheduler::new();
+    // Build a 128-node ring and converge it.
+    let mut ids = Vec::new();
+    for i in 0..128u32 {
+        let mut id = rng.gen::<u64>();
+        while ids.contains(&id) {
+            id = rng.gen::<u64>();
         }
-        let now = sched.now();
-        run_maintenance(&mut proto, &mut sched, now + 2_000);
+        ids.push(id);
+        if i == 0 {
+            proto.bootstrap(id, NodeId(i), &mut sched);
+        } else {
+            let via = ids[rng.gen_range(0..i as usize)];
+            proto.join(id, NodeId(i), via, &mut sched);
+            let now = sched.now();
+            run_maintenance(&mut proto, &mut sched, now + 30);
+        }
+    }
+    let now = sched.now();
+    run_maintenance(&mut proto, &mut sched, now + 2_000);
+    // The protocol counts lookups in a `Cell`, so jobs copy the ring
+    // out from behind a lock rather than sharing it.
+    let ring = Mutex::new((proto, sched));
+
+    table.series = pool_map(KILL_FRACTIONS.len(), move |k| {
+        let kill_fraction = KILL_FRACTIONS[k];
+        let (mut proto, mut sched) = ring
+            .lock()
+            .expect("no job panics while holding the ring")
+            .clone();
         // Kill a fraction and watch recovery.
         let kills = (128.0 * kill_fraction) as usize;
         for &id in ids.iter().take(kills) {
@@ -547,11 +564,11 @@ pub fn stabilization_extension() -> SweepTable {
                 y: proto.convergence_fraction(),
             });
         }
-        table.push(SweepSeries {
+        SweepSeries {
             label: format!("kill={kill_fraction}"),
             points,
-        });
-    }
+        }
+    });
     table
 }
 
@@ -564,17 +581,14 @@ pub fn staleness_extension() -> SweepTable {
     staleness_extension_with_trials(20)
 }
 
-/// [`staleness_extension`] with an explicit trial count (smaller for
-/// smoke tests).
-pub fn staleness_extension_with_trials(trials: u64) -> SweepTable {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use sos_attack::OneBurstAttacker;
-    use sos_des::Scheduler;
-    use sos_overlay::protocol::{run_maintenance, ChordProtocol, ProtocolConfig};
-    use sos_overlay::{NodeId, Overlay, Transport};
-    use sos_sim::routing::{route, RouteCtx, RouteScratch, RoutingPolicy};
+/// The maintenance times (ticks after the attack) at which
+/// [`staleness_extension`] measures `P_S`.
+const STALENESS_MEASURE_POINTS: [u64; 11] = [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
 
+/// [`staleness_extension`] with an explicit trial count (smaller for
+/// smoke tests). Each trial is one pool job; the per-trial hit rates
+/// are summed in trial order, as a serial loop would.
+pub fn staleness_extension_with_trials(trials: u64) -> SweepTable {
     let mut table = SweepTable::new("ext-staleness", "t", "P_S");
     let scenario = Scenario::builder()
         .system(SystemParams::new(400, 60, 0.5).expect("valid"))
@@ -584,80 +598,21 @@ pub fn staleness_extension_with_trials(trials: u64) -> SweepTable {
         .build()
         .expect("valid");
     assert!(trials > 0, "at least one trial");
-    let measure_points: Vec<u64> = (0..=10).map(|i| i * 10).collect();
-    let mut protocol_ps: Vec<f64> = vec![0.0; measure_points.len()];
+    let per_trial = pool_map(trials as usize, move |trial| {
+        staleness_trial(&scenario, trial as u64)
+    });
+    let mut protocol_ps = [0.0f64; STALENESS_MEASURE_POINTS.len()];
     let mut direct_ps = 0.0f64;
-    let mut scratch = RouteScratch::new();
-
-    for trial in 0..trials {
-        let mut rng = StdRng::seed_from_u64(7_000 + trial);
-        let mut overlay = Overlay::build(&scenario, &mut rng);
-
-        // Converge a protocol ring over all overlay nodes (short
-        // successor lists so staleness is visible).
-        let cfg = ProtocolConfig {
-            successor_list_len: 3,
-            ..ProtocolConfig::default()
-        };
-        let mut proto = ChordProtocol::new(cfg);
-        let mut sched = Scheduler::new();
-        let members: Vec<NodeId> = overlay.overlay_ids().collect();
-        let mut ids: Vec<u64> = Vec::with_capacity(members.len());
-        for (i, &m) in members.iter().enumerate() {
-            let mut id = rng.gen::<u64>();
-            while ids.contains(&id) {
-                id = rng.gen::<u64>();
-            }
-            ids.push(id);
-            if i == 0 {
-                proto.bootstrap(id, m, &mut sched);
-            } else {
-                let via = ids[rng.gen_range(0..i)];
-                proto.join(id, m, via, &mut sched);
-                if i % 8 == 0 {
-                    let now = sched.now();
-                    run_maintenance(&mut proto, &mut sched, now + 25);
-                }
-            }
-        }
-        let now = sched.now();
-        run_maintenance(&mut proto, &mut sched, now + 3_000);
-
-        // Attack lands: overlay statuses change and the same nodes die
-        // on the ring (a congested node cannot serve Chord either).
-        OneBurstAttacker::new(AttackBudget::new(40, 160)).execute(&mut overlay, &mut rng);
-        proto.sync_overlay_damage(&overlay);
-
-        // Reference: the paper's direct-hop abstraction on the same
-        // damaged overlay.
-        let mut hits = 0u32;
-        let ctx = RouteCtx::new(&overlay, &Transport::Direct, RoutingPolicy::RandomGood);
-        for _ in 0..100 {
-            if route(&ctx, &mut rng, &mut scratch).delivered {
-                hits += 1;
-            }
-        }
-        direct_ps += hits as f64 / 100.0;
-
-        // Protocol transport at increasing maintenance times.
-        let attack_time = sched.now();
-        for (idx, &t) in measure_points.iter().enumerate() {
-            run_maintenance(&mut proto, &mut sched, attack_time + t);
-            let transport = Transport::Protocol(proto.clone());
-            let mut hits = 0u32;
-            let ctx = RouteCtx::new(&overlay, &transport, RoutingPolicy::RandomGood);
-            for _ in 0..100 {
-                if route(&ctx, &mut rng, &mut scratch).delivered {
-                    hits += 1;
-                }
-            }
-            protocol_ps[idx] += hits as f64 / 100.0;
+    for (direct, protocol) in per_trial {
+        direct_ps += direct;
+        for (sum, p) in protocol_ps.iter_mut().zip(protocol) {
+            *sum += p;
         }
     }
 
     table.push(SweepSeries {
         label: "protocol (converging)".to_string(),
-        points: measure_points
+        points: STALENESS_MEASURE_POINTS
             .iter()
             .zip(&protocol_ps)
             .map(|(&t, &p)| SweepPoint {
@@ -668,7 +623,7 @@ pub fn staleness_extension_with_trials(trials: u64) -> SweepTable {
     });
     table.push(SweepSeries {
         label: "direct (reference)".to_string(),
-        points: measure_points
+        points: STALENESS_MEASURE_POINTS
             .iter()
             .map(|&t| SweepPoint {
                 x: t as f64,
@@ -679,10 +634,94 @@ pub fn staleness_extension_with_trials(trials: u64) -> SweepTable {
     table
 }
 
+/// One `ext-staleness` trial: `(direct hits/100, hits/100 at each
+/// measure point)`.
+fn staleness_trial(
+    scenario: &Scenario,
+    trial: u64,
+) -> (f64, [f64; STALENESS_MEASURE_POINTS.len()]) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sos_attack::OneBurstAttacker;
+    use sos_des::Scheduler;
+    use sos_overlay::protocol::{run_maintenance, ChordProtocol, ProtocolConfig};
+    use sos_overlay::{NodeId, Overlay, Transport};
+    use sos_sim::routing::{route, RouteCtx, RouteScratch, RoutingPolicy};
+
+    let mut scratch = RouteScratch::new();
+    let mut rng = StdRng::seed_from_u64(7_000 + trial);
+    let mut overlay = Overlay::build(scenario, &mut rng);
+
+    // Converge a protocol ring over all overlay nodes (short successor
+    // lists so staleness is visible).
+    let cfg = ProtocolConfig {
+        successor_list_len: 3,
+        ..ProtocolConfig::default()
+    };
+    let mut proto = ChordProtocol::new(cfg);
+    let mut sched = Scheduler::new();
+    let members: Vec<NodeId> = overlay.overlay_ids().collect();
+    let mut ids: Vec<u64> = Vec::with_capacity(members.len());
+    for (i, &m) in members.iter().enumerate() {
+        let mut id = rng.gen::<u64>();
+        while ids.contains(&id) {
+            id = rng.gen::<u64>();
+        }
+        ids.push(id);
+        if i == 0 {
+            proto.bootstrap(id, m, &mut sched);
+        } else {
+            let via = ids[rng.gen_range(0..i)];
+            proto.join(id, m, via, &mut sched);
+            if i % 8 == 0 {
+                let now = sched.now();
+                run_maintenance(&mut proto, &mut sched, now + 25);
+            }
+        }
+    }
+    let now = sched.now();
+    run_maintenance(&mut proto, &mut sched, now + 3_000);
+
+    // Attack lands: overlay statuses change and the same nodes die on
+    // the ring (a congested node cannot serve Chord either).
+    OneBurstAttacker::new(AttackBudget::new(40, 160)).execute(&mut overlay, &mut rng);
+    proto.sync_overlay_damage(&overlay);
+
+    // Reference: the paper's direct-hop abstraction on the same damaged
+    // overlay.
+    let mut hits = 0u32;
+    let ctx = RouteCtx::new(&overlay, &Transport::Direct, RoutingPolicy::RandomGood);
+    for _ in 0..100 {
+        if route(&ctx, &mut rng, &mut scratch).delivered {
+            hits += 1;
+        }
+    }
+    let direct = hits as f64 / 100.0;
+
+    // Protocol transport at increasing maintenance times.
+    let mut protocol = [0.0f64; STALENESS_MEASURE_POINTS.len()];
+    let attack_time = sched.now();
+    for (ps, &t) in protocol.iter_mut().zip(&STALENESS_MEASURE_POINTS) {
+        run_maintenance(&mut proto, &mut sched, attack_time + t);
+        let transport = Transport::Protocol(proto.clone());
+        let mut hits = 0u32;
+        let ctx = RouteCtx::new(&overlay, &transport, RoutingPolicy::RandomGood);
+        for _ in 0..100 {
+            if route(&ctx, &mut rng, &mut scratch).delivered {
+                hits += 1;
+            }
+        }
+        *ps = hits as f64 / 100.0;
+    }
+    (direct, protocol)
+}
+
 /// `ext-protocol-churn`: the classic Chord churn evaluation — lookup
 /// correctness as a function of the churn interval (one leave + one
 /// join every `interval` ticks against a 10-tick stabilize period).
-/// Correctness degrades as churn outpaces maintenance.
+/// Correctness degrades as churn outpaces maintenance. The converged
+/// ring is built once; each interval is one pool job churning its own
+/// copy of the ring and its random stream.
 pub fn protocol_churn_extension() -> SweepTable {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -690,37 +729,43 @@ pub fn protocol_churn_extension() -> SweepTable {
     use sos_overlay::protocol::{run_maintenance, ChordProtocol, ProtocolConfig};
     use sos_overlay::NodeId;
 
+    const INTERVALS: [u64; 6] = [2, 5, 10, 20, 40, 80];
     let mut table = SweepTable::new("ext-protocol-churn", "churn_interval", "lookup_correct");
-    let mut points = Vec::new();
-    for interval in [2u64, 5, 10, 20, 40, 80] {
-        let mut rng = StdRng::seed_from_u64(2001);
-        let mut proto = ChordProtocol::new(ProtocolConfig::default());
-        let mut sched = Scheduler::new();
-        let mut alive_ids: Vec<u64> = Vec::new();
-        let mut next_node = 0u32;
-        let mut used = std::collections::HashSet::new();
-        // Build a converged 96-node ring.
-        for i in 0..96usize {
-            let mut id = rng.gen::<u64>();
-            while !used.insert(id) {
-                id = rng.gen::<u64>();
-            }
-            alive_ids.push(id);
-            if i == 0 {
-                proto.bootstrap(id, NodeId(next_node), &mut sched);
-            } else {
-                let via = alive_ids[rng.gen_range(0..i)];
-                proto.join(id, NodeId(next_node), via, &mut sched);
-                if i % 8 == 0 {
-                    let now = sched.now();
-                    run_maintenance(&mut proto, &mut sched, now + 25);
-                }
-            }
-            next_node += 1;
+    let mut rng = StdRng::seed_from_u64(2001);
+    let mut proto = ChordProtocol::new(ProtocolConfig::default());
+    let mut sched = Scheduler::new();
+    let mut alive_ids: Vec<u64> = Vec::new();
+    let mut next_node = 0u32;
+    let mut used = std::collections::HashSet::new();
+    // Build a converged 96-node ring.
+    for i in 0..96usize {
+        let mut id = rng.gen::<u64>();
+        while !used.insert(id) {
+            id = rng.gen::<u64>();
         }
-        let now = sched.now();
-        run_maintenance(&mut proto, &mut sched, now + 3_000);
+        alive_ids.push(id);
+        if i == 0 {
+            proto.bootstrap(id, NodeId(next_node), &mut sched);
+        } else {
+            let via = alive_ids[rng.gen_range(0..i)];
+            proto.join(id, NodeId(next_node), via, &mut sched);
+            if i % 8 == 0 {
+                let now = sched.now();
+                run_maintenance(&mut proto, &mut sched, now + 25);
+            }
+        }
+        next_node += 1;
+    }
+    let now = sched.now();
+    run_maintenance(&mut proto, &mut sched, now + 3_000);
+    let ring = Mutex::new((proto, sched, rng, alive_ids, used, next_node));
 
+    let points = pool_map(INTERVALS.len(), move |k| {
+        let interval = INTERVALS[k];
+        let (mut proto, mut sched, mut rng, mut alive_ids, mut used, mut next_node) = ring
+            .lock()
+            .expect("no job panics while holding the ring")
+            .clone();
         // Churn for 150 events, sampling lookups continuously.
         let mut correct = 0u32;
         let mut total = 0u32;
@@ -751,11 +796,11 @@ pub fn protocol_churn_extension() -> SweepTable {
                 }
             }
         }
-        points.push(SweepPoint {
+        SweepPoint {
             x: interval as f64,
             y: correct as f64 / total as f64,
-        });
-    }
+        }
+    });
     table.push(SweepSeries {
         label: "one leave + one join per interval".to_string(),
         points,

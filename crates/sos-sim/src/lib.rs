@@ -20,7 +20,9 @@
 //! the [`sweep`] executor — a persistent worker pool with interleaved
 //! trial scheduling plus a content-addressed result cache
 //! ([`run_sweep`], [`set_global_cache`]) — instead of one
-//! `run_parallel` call per point. The [`compare`] module pairs
+//! `run_parallel` call per point; [`pool_map`] runs independent indexed
+//! jobs (the report's DES and protocol sections) on that same pool. The
+//! [`compare`] module pairs
 //! simulated results with both analytical evaluators — the data behind
 //! the `ablation-evaluator` experiment and the validation tables in
 //! `EXPERIMENTS.md`. The [`repair`] module implements the paper's named
@@ -77,6 +79,7 @@ pub use engine::{
     set_route_batch_width, stream, trial_stream_seed, Simulation, SimulationConfig,
     SimulationResult, TransportKind,
 };
+pub use pool::pool_map;
 pub use route_batch::RouteBatchScratch;
 pub use sweep::{
     config_fingerprint, run_sweep, run_sweep_traced, set_global_cache, structural_fingerprint,

@@ -1,4 +1,4 @@
-//! Persistent worker pool for trial execution.
+//! Persistent worker pool for trial execution and indexed jobs.
 //!
 //! [`Simulation::run_parallel`] spins up a fresh `crossbeam` scope —
 //! and fresh per-worker [`TrialScratch`] state — for every call. That
@@ -10,29 +10,44 @@
 //! * workers are spawned once and live for the process; each owns a
 //!   [`TrialScratch`] that is rebuilt in place across *scenarios*, not
 //!   just across trials of one scenario;
-//! * a run is a list of [`RangeJob`]s (one per sweep point); workers
-//!   pull trial batches through a two-level discipline — scan jobs from
-//!   a shared head cursor, claim the next batch from the first job that
-//!   still has unclaimed trials — so batches from neighboring sweep
-//!   points interleave and a small tail point never leaves workers
-//!   idle;
+//! * a trial run is a list of [`RangeJob`]s (one per sweep point);
+//!   workers pull trial batches through a two-level discipline — scan
+//!   jobs from a shared head cursor, claim the next batch from the first
+//!   job that still has unclaimed trials — so batches from neighboring
+//!   sweep points interleave and a small tail point never leaves
+//!   workers idle;
+//! * a map run ([`pool_map`]) is `n` independent indexed jobs `f(i)`,
+//!   claimed one index at a time in index order, with results returned
+//!   in index order: the shape of the report's DES and protocol
+//!   sections (one job per trial, churn interval or kill fraction),
+//!   which own their state and do not go through the trial engine. Map
+//!   jobs touch neither the telemetry trial/point counters nor any
+//!   sweep statistics;
 //! * the *calling* thread participates as a full worker (with a
 //!   pool-owned scratch of its own), so a 1-thread pool executes
 //!   entirely inline with no cross-thread handoff at all.
 //!
-//! Determinism: the pool decides only *who* runs a trial, never *what*
-//! the trial is. Per-trial seeding makes every integer count
+//! A job must not call back into the global pool (`run_sweep`,
+//! `run_until_precision`, `pool_map`): the caller holds the pool's
+//! mutex for the whole run, so that would deadlock. [`global_pool`]
+//! panics instead when called from inside a pool job.
+//!
+//! Determinism: the pool decides only *who* runs a trial or a job,
+//! never *what* it is. Per-trial seeding makes every integer count
 //! bit-identical to [`Simulation::run`], and batch partials are merged
 //! in trial order over thread-count-independent batch boundaries (the
 //! same contract as `run_parallel`), so a job's result — floats
 //! included — is byte-identical at every thread count. The merge stays
 //! per-job: each [`RangeJob`] collects its own batch [`Partial`]s, so
-//! sweep points never mix.
+//! sweep points never mix. Map results come back in index order, so a
+//! caller that folds them in that order reproduces its serial loop bit
+//! for bit.
 //!
 //! [`Simulation::run_parallel`]: crate::engine::Simulation::run_parallel
 
 use crate::engine::{num_threads, Partial, Simulation, TrialQueue, TrialScratch};
 use sos_observe::{telemetry, trace};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -70,18 +85,8 @@ struct JobSlot {
     point: bool,
 }
 
-/// Completion state of one `run` call, updated under [`RunState::done`].
-struct RunDone {
-    /// Trials not yet merged into their job's partial.
-    remaining: u64,
-    /// Set when a worker thread panicked mid-run.
-    poisoned: bool,
-}
-
-/// Shared state of one `run` call. Workers hold an `Arc` to it for the
-/// duration of their participation, so a straggler can finish scanning
-/// after the caller has already collected the results.
-struct RunState {
+/// The trial batches of one [`WorkerPool::run`] call.
+struct TrialWork {
     jobs: Vec<JobSlot>,
     /// Index of the first job that may still have unclaimed batches;
     /// monotonically advanced as job queues drain. A scan hint, not a
@@ -92,14 +97,55 @@ struct RunState {
     /// Set when request tracing was on at `run` entry: the anchor for
     /// per-point completion spans (reading a clock, never the RNG).
     trace_started: Option<Instant>,
+}
+
+/// The indexed jobs of one [`WorkerPool::map`] call: `job(i)` for every
+/// `i < n`, each storing its own result.
+struct MapWork {
+    job: Box<dyn Fn(usize) + Send + Sync>,
+    /// The next unclaimed index (claims past `n` find nothing).
+    next: AtomicUsize,
+    n: usize,
+}
+
+/// What one run executes.
+enum Work {
+    Trials(TrialWork),
+    Map(MapWork),
+}
+
+/// Completion state of one run, updated under [`RunState::done`].
+struct RunDone {
+    /// Units (trials or map jobs) not yet completed.
+    remaining: u64,
+    /// Set when a worker thread panicked mid-run.
+    poisoned: bool,
+}
+
+/// Shared state of one run. Workers hold an `Arc` to it for the
+/// duration of their participation, so a straggler can finish scanning
+/// after the caller has already collected the results.
+struct RunState {
+    work: Work,
     done: Mutex<RunDone>,
     done_cv: Condvar,
 }
 
+impl RunState {
+    /// Records `units` completed units, waking the caller on the last.
+    fn complete(&self, units: u64) {
+        let mut done = lock_ignore_poison(&self.done);
+        done.remaining -= units;
+        if done.remaining == 0 {
+            self.done_cv.notify_all();
+        }
+    }
+}
+
 /// Pool-level coordination state, guarded by [`PoolShared::lock`].
 struct PoolState {
-    /// Bumped once per `run` call; workers use it to tell a new run
-    /// from the one they just finished.
+    /// Bumped once per run; workers use it to tell a new run from the
+    /// one they just finished.
     epoch: u64,
     shutdown: bool,
     run: Option<Arc<RunState>>,
@@ -116,6 +162,31 @@ fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+thread_local! {
+    /// Whether this thread is currently executing pool work.
+    static IN_POOL_JOB: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as inside a pool job until dropped
+/// (unwinding included).
+struct InPoolJob {
+    was: bool,
+}
+
+impl InPoolJob {
+    fn enter() -> Self {
+        InPoolJob {
+            was: IN_POOL_JOB.with(|flag| flag.replace(true)),
+        }
+    }
+}
+
+impl Drop for InPoolJob {
+    fn drop(&mut self) {
+        IN_POOL_JOB.with(|flag| flag.set(self.was));
+    }
+}
+
 /// A long-lived pool of trial workers; see the module docs.
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
@@ -128,7 +199,7 @@ pub(crate) struct WorkerPool {
 impl WorkerPool {
     /// Creates a pool with `threads` total workers: `threads - 1`
     /// background threads plus the calling thread, which participates
-    /// in every [`run`](Self::run).
+    /// in every run.
     ///
     /// # Panics
     ///
@@ -189,13 +260,78 @@ impl WorkerPool {
             })
             .collect();
         telemetry::add_expected_trials(total);
+        let run = self.execute(
+            Work::Trials(TrialWork {
+                jobs: slots,
+                head: AtomicUsize::new(0),
+                batches: AtomicU64::new(0),
+                trace_started: trace::enabled().then(Instant::now),
+            }),
+            total,
+        );
+        let Work::Trials(trials) = &run.work else {
+            unreachable!("a trial run holds trial work");
+        };
+        // All trials merged and no queue has unclaimed batches, so no
+        // worker will touch a partial again — taking them is safe even
+        // if a straggler still holds the Arc while scanning.
+        let partials = trials
+            .jobs
+            .iter()
+            .map(|slot| {
+                let batches = std::mem::take(&mut *lock_ignore_poison(&slot.partial));
+                Partial::merged_in_order(batches)
+            })
+            .collect();
+        (partials, trials.batches.load(Ordering::Relaxed))
+    }
+
+    /// Runs `f(i)` for every `i` in `0..n` across the pool and returns
+    /// the results in index order. Indices are claimed one at a time,
+    /// in order; the calling thread works alongside the background
+    /// workers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job panics: on the calling thread the job's own
+    /// panic propagates; on a background worker the run is poisoned,
+    /// exactly as for a panicking trial.
+    pub(crate) fn map<T, F>(&mut self, n: usize, f: F) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: Fn(usize) -> T + Send + Sync + 'static,
+    {
+        if n == 0 {
+            return Vec::new();
+        }
+        let results: Arc<Vec<Mutex<Option<T>>>> =
+            Arc::new((0..n).map(|_| Mutex::new(None)).collect());
+        let sink = results.clone();
+        self.execute(
+            Work::Map(MapWork {
+                job: Box::new(move |i| {
+                    let value = f(i);
+                    *lock_ignore_poison(&sink[i]) = Some(value);
+                }),
+                next: AtomicUsize::new(0),
+                n,
+            }),
+            n as u64,
+        );
+        results
+            .iter()
+            .map(|slot| lock_ignore_poison(slot).take().expect("every index ran"))
+            .collect()
+    }
+
+    /// Publishes `work` (`units` trials or jobs) to the background
+    /// workers, drains it on the calling thread too, and blocks until
+    /// every unit has completed.
+    fn execute(&mut self, work: Work, units: u64) -> Arc<RunState> {
         let run = Arc::new(RunState {
-            jobs: slots,
-            head: AtomicUsize::new(0),
-            batches: AtomicU64::new(0),
-            trace_started: trace::enabled().then(Instant::now),
+            work,
             done: Mutex::new(RunDone {
-                remaining: total,
+                remaining: units,
                 poisoned: false,
             }),
             done_cv: Condvar::new(),
@@ -214,33 +350,18 @@ impl WorkerPool {
         // uncontended per-job locks.
         drain(&run, &mut self.caller_scratch);
 
-        // Wait for background stragglers to merge their last batches.
+        // Wait for background stragglers to finish their last units.
         let mut done = lock_ignore_poison(&run.done);
         while done.remaining > 0 && !done.poisoned {
-            done = run
-                .done_cv
-                .wait(done)
-                .unwrap_or_else(|e| e.into_inner());
+            done = run.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
         }
         let poisoned = done.poisoned;
         drop(done);
         if !self.workers.is_empty() {
             lock_ignore_poison(&self.shared.lock).run = None;
         }
-        assert!(!poisoned, "simulation worker panicked");
-
-        // All trials merged and no queue has unclaimed batches, so no
-        // worker will touch a partial again — taking them is safe even
-        // if a straggler still holds the Arc while scanning.
-        let partials = run
-            .jobs
-            .iter()
-            .map(|slot| {
-                let batches = std::mem::take(&mut *lock_ignore_poison(&slot.partial));
-                Partial::merged_in_order(batches)
-            })
-            .collect();
-        (partials, run.batches.load(Ordering::Relaxed))
+        assert!(!poisoned, "pool worker panicked");
+        run
     }
 }
 
@@ -270,13 +391,30 @@ impl Drop for PoisonGuard<'_> {
     }
 }
 
-/// Works the run's job queues until no unclaimed batch remains
-/// anywhere. Shared by background workers and the calling thread.
+/// Works the run until no unclaimed unit remains. Shared by background
+/// workers and the calling thread.
 fn drain(run: &RunState, scratch: &mut TrialScratch) {
+    let _in_job = InPoolJob::enter();
+    match &run.work {
+        Work::Trials(trials) => drain_trials(run, trials, scratch),
+        Work::Map(map) => loop {
+            let i = map.next.fetch_add(1, Ordering::Relaxed);
+            if i >= map.n {
+                return;
+            }
+            (map.job)(i);
+            run.complete(1);
+        },
+    }
+}
+
+/// Works the run's trial queues until no unclaimed batch remains
+/// anywhere.
+fn drain_trials(run: &RunState, work: &TrialWork, scratch: &mut TrialScratch) {
     loop {
-        let head = run.head.load(Ordering::Acquire);
+        let head = work.head.load(Ordering::Acquire);
         let mut claimed = None;
-        for (i, slot) in run.jobs.iter().enumerate().skip(head) {
+        for (i, slot) in work.jobs.iter().enumerate().skip(head) {
             if let Some((start, end)) = slot.queue.next_batch() {
                 claimed = Some((slot, start, end));
                 break;
@@ -285,12 +423,9 @@ fn drain(run: &RunState, scratch: &mut TrialScratch) {
                 // This job's queue is fully claimed; advance the scan
                 // hint so later workers skip it. CAS failure just means
                 // someone else advanced it first.
-                let _ = run.head.compare_exchange(
-                    i,
-                    i + 1,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                );
+                let _ = work
+                    .head
+                    .compare_exchange(i, i + 1, Ordering::AcqRel, Ordering::Acquire);
             }
         }
         let Some((slot, start, end)) = claimed else {
@@ -310,12 +445,12 @@ fn drain(run: &RunState, scratch: &mut TrialScratch) {
         }
         drop(batch_span); // record the batch claim's span now
         lock_ignore_poison(&slot.partial).push((start, partial));
-        run.batches.fetch_add(1, Ordering::Relaxed);
+        work.batches.fetch_add(1, Ordering::Relaxed);
         // The last batch of a job completes a sweep point.
         let batch_len = end - start;
         if slot.remaining.fetch_sub(batch_len, Ordering::AcqRel) == batch_len && slot.point {
             telemetry::point_done();
-            if let Some(t0) = run.trace_started {
+            if let Some(t0) = work.trace_started {
                 trace::record_since(
                     "sweep-point",
                     trace::CAT_EXEC,
@@ -324,11 +459,7 @@ fn drain(run: &RunState, scratch: &mut TrialScratch) {
                 );
             }
         }
-        let mut done = lock_ignore_poison(&run.done);
-        done.remaining -= end - start;
-        if done.remaining == 0 {
-            run.done_cv.notify_all();
-        }
+        run.complete(batch_len);
     }
 }
 
@@ -366,16 +497,49 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// The process-wide pool used by the sweep executor and
-/// [`Simulation::run_until_precision`], sized by
+/// The process-wide pool used by the sweep executor,
+/// [`Simulation::run_until_precision`] and [`pool_map`], sized by
 /// [`num_threads`](crate::engine::num_threads). Created on first use;
 /// callers serialize on the mutex (runs are internally parallel, so
 /// back-to-back runs beat interleaved ones).
 ///
+/// # Panics
+///
+/// Panics when called from inside a pool job: the mutex is held for
+/// the whole run, so waiting on it there would deadlock.
+///
 /// [`Simulation::run_until_precision`]: crate::engine::Simulation::run_until_precision
 pub(crate) fn global_pool() -> &'static Mutex<WorkerPool> {
+    assert!(
+        !IN_POOL_JOB.with(Cell::get),
+        "the global worker pool was used from inside a pool job (a run_sweep, \
+         run_until_precision or pool_map call in a pool_map job); nested pool \
+         use would deadlock"
+    );
     static POOL: OnceLock<Mutex<WorkerPool>> = OnceLock::new();
     POOL.get_or_init(|| Mutex::new(WorkerPool::new(num_threads())))
+}
+
+/// Runs `f(i)` for every `i` in `0..n` on the process-wide worker pool
+/// and returns the results in index order.
+///
+/// Each index is one job; the calling thread works alongside the pool's
+/// background workers, so with one core this is a plain serial map.
+/// Because results come back in index order, folding them in that order
+/// reproduces the equivalent serial loop bit for bit at any thread
+/// count. Jobs own their inputs (`f` is `'static`): share read-only
+/// state through an `Arc` and clone what a job mutates.
+///
+/// # Panics
+///
+/// Panics if a job panics (the call fails instead of hanging), or if
+/// called from inside a pool job, including from `f` itself.
+pub fn pool_map<T, F>(n: usize, f: F) -> Vec<T>
+where
+    T: Send + 'static,
+    F: Fn(usize) -> T + Send + Sync + 'static,
+{
+    lock_ignore_poison(global_pool()).map(n, f)
 }
 
 #[cfg(test)]
@@ -470,6 +634,122 @@ mod tests {
         assert_eq!(result.successes, whole.successes);
         assert_eq!(result.attempts, whole.attempts);
         assert_eq!(result.failure_depths, whole.failure_depths);
+    }
+
+    #[test]
+    fn map_matches_a_serial_map_at_any_thread_count() {
+        let job = |i: usize| {
+            let result = sim(i as u64, 3).run();
+            (
+                result.successes,
+                result.attempts,
+                result.per_trial.mean.to_bits(),
+            )
+        };
+        let serial: Vec<_> = (0..10).map(job).collect();
+        for threads in [1, 2, 4, 8] {
+            let mut pool = WorkerPool::new(threads);
+            assert_eq!(pool.map(10, job), serial, "{threads} threads");
+            // The same pool still runs trial batches afterwards.
+            let (partials, _) = pool.run(vec![RangeJob {
+                sim: sim(1, 4),
+                start: 0,
+                end: 4,
+                point: false,
+            }]);
+            assert_eq!(partials.len(), 1);
+        }
+    }
+
+    #[test]
+    fn map_returns_results_in_index_order() {
+        use std::sync::mpsc;
+        // Job 0 cannot finish before job 7 has: indices are claimed in
+        // order, so job 0 holds one thread and the others run 1..=7.
+        let (done_7, wait_7) = mpsc::channel();
+        let wait_7 = Mutex::new(wait_7);
+        let mut pool = WorkerPool::new(4);
+        let out = pool.map(8, move |i| {
+            match i {
+                0 => wait_7.lock().unwrap().recv().unwrap(),
+                7 => done_7.send(()).unwrap(),
+                _ => {}
+            }
+            i * 3
+        });
+        assert_eq!(out, (0..8).map(|i| i * 3).collect::<Vec<_>>());
+        assert!(pool.map(0, |i| i).is_empty());
+    }
+
+    #[test]
+    fn panicking_map_job_fails_the_call_and_the_pool_stays_usable() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc;
+        // On the calling thread the job's own panic propagates (a
+        // 1-thread pool runs every job there).
+        let mut inline = WorkerPool::new(1);
+        let on_caller = catch_unwind(AssertUnwindSafe(|| {
+            inline.map(4, |i| {
+                assert!(i != 2, "job {i} failed");
+                i
+            })
+        }));
+        let message = on_caller.expect_err("the caller's panic fails the call");
+        assert_eq!(message.downcast_ref::<String>().unwrap(), "job 2 failed");
+        assert_eq!(inline.map(3, |i| i + 1), vec![1, 2, 3]);
+
+        // On a background worker it poisons the run. A job on the
+        // calling thread blocks until a worker's job is about to
+        // panic, so the worker claims at least one of the two jobs.
+        let mut pool = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        let (failing, wait) = mpsc::channel();
+        let wait = Mutex::new(wait);
+        let on_worker = catch_unwind(AssertUnwindSafe(|| {
+            pool.map(2, move |i| {
+                if std::thread::current().id() == caller {
+                    wait.lock().unwrap().recv().unwrap();
+                } else {
+                    failing.send(()).unwrap();
+                    panic!("job {i} failed on a worker");
+                }
+                i
+            })
+        }));
+        let message = on_worker.expect_err("a worker's panic fails the call");
+        assert_eq!(
+            message.downcast_ref::<&str>(),
+            Some(&"pool worker panicked")
+        );
+        assert_eq!(pool.map(6, |i| i + 1), vec![1, 2, 3, 4, 5, 6]);
+        let (partials, _) = pool.run(vec![RangeJob {
+            sim: sim(2, 4),
+            start: 0,
+            end: 4,
+            point: false,
+        }]);
+        assert_eq!(partials.len(), 1);
+    }
+
+    #[test]
+    fn nested_global_pool_use_panics_instead_of_deadlocking() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // A 1-thread pool runs every job on this thread, so the guard's
+        // panic surfaces here.
+        let mut pool = WorkerPool::new(1);
+        let nested = catch_unwind(AssertUnwindSafe(|| {
+            pool.map(1, |_| sim(3, 2).run_until_precision(0.1, 4))
+        }));
+        let message = nested.expect_err("nested pool use must panic");
+        let message = message
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| message.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("from inside a pool job"), "{message}");
+        // The guard is cleared once the job has unwound.
+        assert!(!IN_POOL_JOB.with(Cell::get));
+        assert_eq!(pool.map(2, |i| i), vec![0, 1]);
     }
 
     #[test]

@@ -181,3 +181,31 @@ fn protocol_report_sections_are_pinned() {
 
 /// FNV-1a-64 of `ext-stabilization` and one-trial `ext-staleness`.
 const PINNED_SECTIONS: (u64, u64) = (0xa31f50308d226807, 0x99fe560dafdc21d0);
+
+#[test]
+fn multi_unit_report_sections_are_pinned() {
+    let opts = ablations::AblationOptions::quick();
+    let sections = [
+        ablations::staleness_extension_with_trials(4),
+        ablations::protocol_churn_extension(),
+        ablations::flow_extension(opts),
+        ablations::repair_extension(opts),
+    ];
+    let digests = sections.map(|table| {
+        let json = serde_json::to_string(&table).expect("tables serialize");
+        fnv1a64(json.as_bytes())
+    });
+    assert_eq!(digests, PINNED_MULTI_UNIT);
+}
+
+/// FNV-1a-64 of the JSON (every `f64` exact, unlike the CSV's six
+/// decimals) of four-trial `ext-staleness`, `ext-protocol-churn`, and
+/// quick-sized `ext-flow` and `ext-repair`. Each section sums or
+/// averages floats over several independent units (trials, intervals,
+/// load ratios, persistences), so a reordered reduction shows here.
+const PINNED_MULTI_UNIT: [u64; 4] = [
+    0xdae6f8c5e3aa3c51,
+    0x77dba1013007d60e,
+    0xf390852baba3f660,
+    0xe910814a26b675f4,
+];

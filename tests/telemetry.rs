@@ -160,3 +160,19 @@ fn telemetry_counters_advance_during_instrumented_runs() {
         "route counter did not advance"
     );
 }
+
+/// `pool_map` jobs are not trials: running them on the global pool
+/// with telemetry on leaves the trial, batch and sweep-point counters
+/// where they were, so a report's `trials == expected_trials` holds.
+#[test]
+fn pool_map_jobs_leave_trial_and_point_counters_unchanged() {
+    let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let counters = || {
+        let s = telemetry::snapshot();
+        (s.trials, s.batches, s.expected_trials, s.expected_points, s.points_done)
+    };
+    let before = counters();
+    let out = with_telemetry(|| sos::sim::pool_map(16, |i| i * i));
+    assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
+    assert_eq!(counters(), before);
+}
