@@ -21,14 +21,7 @@
 //! through a cache-cold [`sos_sim::SweepExecutor`] at the same thread
 //! count. Per-point delivery counts are asserted equal.
 //!
-//! A sixth workload measures the engine's per-worker *build memo*: the
-//! same sweep grid with build reuse disabled (before: every trial pays
-//! a fresh `build_into`) and enabled (after: structurally identical
-//! points at equal trial indices reuse the memoized overlay/ring).
-//! Per-point counts are asserted equal — the dedicated RNG sub-streams
-//! make skipping the build draws observationally pure.
-//!
-//! A seventh workload measures the *live telemetry plane*: the same
+//! A sixth workload measures the *live telemetry plane*: the same
 //! sweep grid with `sos_observe::telemetry` off (before) and on
 //! (after). Per-point counts are asserted equal — telemetry observes
 //! but never steers — and its speedup (≈1.0 when the relaxed-atomic
@@ -36,14 +29,7 @@
 //! that makes telemetry expensive fails CI. The report also embeds the
 //! snapshot's per-phase profile summary under `"profile"`.
 //!
-//! An eighth workload measures the *batched SoA route kernel*: a
-//! routing-heavy Chord run at batch width 1 (the per-lane scalar
-//! oracle) and at the production width 64 (layer-synchronous lanes
-//! sharing the per-trial Chord hop memo). Delivery counts are asserted
-//! equal — lane seeds come from per-route `ROUTE` sub-streams, so
-//! batch width is observationally pure.
-//!
-//! A ninth workload measures the *request-tracing plane*: the same
+//! A seventh workload measures the *request-tracing plane*: the same
 //! sweep grid with `sos_observe::trace` (the flight recorder) off
 //! (before) and on (after), telemetry enabled on both sides. Per-point
 //! counts are asserted equal — spans read the monotonic clock, never
@@ -69,9 +55,7 @@ use sos_observe::{telemetry, trace};
 use sos_overlay::{ChordRing, NodeId, Overlay, Transport};
 use sos_sim::engine::{Simulation, SimulationConfig, TransportKind};
 use sos_sim::routing::{self, RouteCtx, RouteScratch, RoutingPolicy};
-use sos_sim::{
-    route_lane_seed, set_route_batch_width, stream, trial_stream_seed, SweepExecutor,
-};
+use sos_sim::{route_lane_seed, stream, trial_stream_seed, SweepExecutor};
 use std::time::Instant;
 
 const ROUTES_PER_TRIAL: u64 = 50;
@@ -361,64 +345,6 @@ fn main() {
         }));
     }
 
-    // Routing-batch workload: a routing-heavy Chord run through the
-    // engine at batch width 1 (every lane routed by the scalar
-    // `routing::route` oracle) and at the production width 64
-    // (layer-synchronous SoA lanes sharing the per-trial Chord hop
-    // memo). Per-route `ROUTE` sub-streams make the width
-    // observationally pure, so delivery counts are asserted equal.
-    {
-        let trials = 16u64;
-        let routes = 400u64;
-        let cfg = SimulationConfig::new(
-            scenario(2_000),
-            AttackConfig::OneBurst { budget: budget(2_000) },
-        )
-        .trials(trials)
-        .routes_per_trial(routes)
-        .seed(SEED)
-        .transport(TransportKind::Chord);
-        let run_once = || Simulation::new(cfg.clone()).run().successes;
-        // Warm both widths outside the timers; width 64 (after) is
-        // timed first so the scalar width inherits the warmer
-        // allocator — any bias is against the reported speedup.
-        set_route_batch_width(1);
-        run_once();
-        set_route_batch_width(64);
-        run_once();
-        let (after_successes, after_secs, phases, _) = timed_with_phases(run_once);
-        set_route_batch_width(1);
-        let (before_successes, before_secs) = timed(run_once);
-        set_route_batch_width(64);
-        assert_eq!(
-            before_successes, after_successes,
-            "routing-batch: width 1 and width 64 diverged — batch width must be \
-             observationally pure"
-        );
-        let speedup = before_secs / after_secs;
-        println!(
-            "{:11} before {:8.1} trials/s  after {:8.1} trials/s  speedup {:.2}x \
-             (batch width 1 vs 64)",
-            "routing-batch",
-            trials as f64 / before_secs,
-            trials as f64 / after_secs,
-            speedup,
-        );
-        rows.push(serde_json::json!({
-            "name": "routing-batch",
-            "transport": "chord",
-            "overlay_nodes": 2_000u64,
-            "trials": trials,
-            "routes_per_trial": routes,
-            "threads": 1,
-            "delivered": after_successes,
-            "before": side_json(before_secs, trials),
-            "after": side_json(after_secs, trials),
-            "speedup": speedup,
-            "phases": phases,
-        }));
-    }
-
     // Sweep-executor workload: many small points, before = one
     // run_parallel call per point, after = one cache-cold executor run
     // at the same thread count.
@@ -471,61 +397,6 @@ fn main() {
             "threads": threads,
             "before": side_json(before_secs, total_trials),
             "after": side_json(after_secs, total_trials),
-            "speedup": speedup,
-            "phases": phases,
-            "build_reused": build_reused,
-        }));
-    }
-
-    // Build-reuse workload: the same ablation grid through the sweep
-    // executor with the engine's per-worker build memo disabled
-    // (before: every trial pays a fresh `build_into`) and enabled
-    // (after: structurally identical points at equal trial indices hit
-    // the memo). The dedicated RNG sub-streams make the memo
-    // observationally pure, so per-point counts are asserted equal.
-    {
-        let threads = sos_sim::num_threads();
-        let configs = sweep_configs();
-        let total_trials: u64 = configs.iter().map(|c| c.configured_trials()).sum();
-        let run_once = || {
-            let mut exec = SweepExecutor::with_threads(threads);
-            exec.run(&configs)
-                .iter()
-                .map(|r| r.successes)
-                .collect::<Vec<u64>>()
-        };
-        // Warm both paths outside the timers; reuse-on (after) is timed
-        // first so the reference inherits the warmer allocator.
-        sos_sim::set_build_reuse(false);
-        run_once();
-        sos_sim::set_build_reuse(true);
-        run_once();
-        let (on_successes, on_secs, phases, build_reused) = timed_with_phases(run_once);
-        sos_sim::set_build_reuse(false);
-        let (off_successes, off_secs) = timed(run_once);
-        sos_sim::set_build_reuse(true);
-        assert_eq!(
-            off_successes, on_successes,
-            "build-reuse: per-point counts diverged — the build memo must be \
-             observationally pure"
-        );
-        let speedup = off_secs / on_secs;
-        println!(
-            "{:11} before {:8.1} trials/s  after {:8.1} trials/s  speedup {:.2}x \
-             ({} of {} trials reused a build)",
-            "build-reuse",
-            total_trials as f64 / off_secs,
-            total_trials as f64 / on_secs,
-            speedup,
-            build_reused,
-            total_trials,
-        );
-        rows.push(serde_json::json!({
-            "name": "build-reuse",
-            "trials": total_trials,
-            "threads": threads,
-            "before": side_json(off_secs, total_trials),
-            "after": side_json(on_secs, total_trials),
             "speedup": speedup,
             "phases": phases,
             "build_reused": build_reused,

@@ -65,10 +65,8 @@ impl Overlay {
     /// Internally the build is split into two dedicated sub-streams:
     /// exactly two `u64` seeds are drawn from `rng` (membership, then
     /// neighbor tables), and each build stage runs on its own
-    /// [`StdRng`] forked from its seed. Structure-preserving rebuilds
-    /// ([`Overlay::rebuild_neighbors_only`]) can therefore replay the
-    /// neighbor stage alone, bit-identically, without touching the
-    /// membership stream.
+    /// [`StdRng`] forked from its seed. The split is part of the
+    /// result: changing it would move every committed overlay.
     pub fn build_into<R: Rng + ?Sized>(&mut self, scenario: &Scenario, rng: &mut R) {
         let membership_seed = rng.gen::<u64>();
         let neighbor_seed = rng.gen::<u64>();
@@ -144,48 +142,6 @@ impl Overlay {
                 sampler.sample_from_into(rng, next, k, &mut neighbors[node.index()]);
             }
         }
-    }
-
-    /// Whether `scenario` shares this overlay's *structure* — the parts
-    /// the membership stage depends on (system parameters, layer sizes,
-    /// filter count). Two scenarios that agree here and are built at
-    /// the same RNG state place the identical SOS nodes in identical
-    /// layers; only the mapping degrees (neighbor tables) may differ.
-    pub fn structure_matches(&self, scenario: &Scenario) -> bool {
-        self.scenario.system() == scenario.system()
-            && self.scenario.topology().layer_sizes() == scenario.topology().layer_sizes()
-            && self.scenario.topology().filter_count() == scenario.topology().filter_count()
-    }
-
-    /// Delta rebuild for a structure-preserving scenario change (e.g. a
-    /// different mapping degree): keeps the membership layout, clears
-    /// attack damage, and re-rolls only the neighbor tables.
-    ///
-    /// Consumes `rng` identically to [`Overlay::build_into`] (two seed
-    /// draws) and, because each build stage runs on its own sub-stream,
-    /// produces an overlay bit-identical to a fresh
-    /// `build_into(scenario, rng)` from the same RNG state — that
-    /// equivalence is what lets the trial engine take this path
-    /// transparently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scenario` does not satisfy
-    /// [`Overlay::structure_matches`].
-    pub fn rebuild_neighbors_only<R: Rng + ?Sized>(
-        &mut self,
-        scenario: &Scenario,
-        rng: &mut R,
-    ) {
-        assert!(
-            self.structure_matches(scenario),
-            "rebuild_neighbors_only requires a structure-preserving scenario change"
-        );
-        let _membership_seed = rng.gen::<u64>();
-        let neighbor_seed = rng.gen::<u64>();
-        self.scenario.clone_from(scenario);
-        self.reset_statuses();
-        self.build_neighbors(neighbor_seed);
     }
 
     /// The scenario this overlay realizes.
@@ -642,42 +598,6 @@ mod tests {
             assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
             assert_eq!(reused.total_bad(), 0, "rebuild clears damage");
         }
-    }
-
-    #[test]
-    fn rebuild_neighbors_only_matches_fresh_build_both_orders() {
-        let a = scenario(MappingDegree::OneTo(2));
-        let b = scenario(MappingDegree::OneTo(3));
-        for (from, to) in [(&a, &b), (&b, &a)] {
-            for trial_seed in [0u64, 7, 1234] {
-                let mut rng_full = StdRng::seed_from_u64(trial_seed);
-                let mut rng_delta = StdRng::seed_from_u64(trial_seed);
-                let mut delta = Overlay::build(from, &mut StdRng::seed_from_u64(trial_seed));
-                assert!(delta.structure_matches(to));
-                // Dirty the reused overlay with attack damage first.
-                let victim = delta.layer_members(1)[0];
-                delta.set_status(victim, NodeStatus::Broken);
-                delta.rebuild_neighbors_only(to, &mut rng_delta);
-                let fresh = Overlay::build(to, &mut rng_full);
-                assert_same_overlay(&fresh, &delta);
-                // Identical RNG consumption as the full build.
-                assert_eq!(rng_full.gen::<u64>(), rng_delta.gen::<u64>());
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "structure-preserving")]
-    fn rebuild_neighbors_only_rejects_structural_change() {
-        let small = Scenario::builder()
-            .system(SystemParams::new(200, 12, 0.5).unwrap())
-            .layers(2)
-            .mapping(MappingDegree::OneTo(2))
-            .filters(4)
-            .build()
-            .unwrap();
-        let mut o = overlay(MappingDegree::OneTo(2), 1);
-        o.rebuild_neighbors_only(&small, &mut StdRng::seed_from_u64(0));
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! whose overlay, Chord ring, member list and route buffers are built
 //! once and then rebuilt in place ([`Overlay::build_into`],
 //! [`ChordRing::build_into`]) — the steady-state trial loop performs no
-//! overlay/ring/routing heap allocation. Parallel runs pull trial
+//! overlay/ring/routing heap allocation. Persistent pool workers also
+//! memoize builds by exact key: a sweep point that replays trial `t` of
+//! an earlier point with the same seed and scenario only clears the
+//! attack damage (see `TrialScratch`). Parallel runs pull trial
 //! batches from an atomic work-stealing queue (`TrialQueue`) instead
 //! of pre-chunking, so a worker that lands cheap trials steals more
 //! work instead of idling; seeding stays per-trial, so the result is
@@ -24,7 +27,7 @@ use crate::routing::{RouteIncident, RouteIncidentKind, RouteScratch, RoutingPoli
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use sos_attack::{OneBurstAttacker, SuccessiveAttacker};
 use sos_core::{AttackConfig, PathEvaluator, Scenario};
 use sos_faults::{Fallback, FaultConfig, FaultPlan, HopIncident, RetryPolicy};
@@ -49,7 +52,7 @@ pub mod stream {
     /// Per-route message-routing lanes: each route of a trial draws from
     /// its own sub-stream keyed twice through this tag (see
     /// [`route_lane_seed`](super::route_lane_seed)), so the batched
-    /// route kernel's lane order and batch width cannot perturb draws.
+    /// route kernel's lane order and chunking cannot perturb draws.
     pub const ROUTE: u64 = 5;
 }
 
@@ -63,26 +66,6 @@ pub mod stream {
 /// collapses to the master seed.
 pub fn trial_stream_seed(seed: u64, stream: u64, trial: u64) -> u64 {
     sos_math::sampling::stream_seed(seed, stream, trial)
-}
-
-/// Process-global switch for per-worker build memoization (on by
-/// default). Sweeps whose points share a structural configuration reuse
-/// built overlays/rings at equal trial indices; turning this off forces
-/// every trial to rebuild from scratch. Results are bit-identical
-/// either way (pinned by tests) — the switch exists for benchmarks and
-/// for proving exactly that.
-static BUILD_REUSE: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables per-worker build memoization (on by default;
-/// see [`build_reuse_enabled`]). Results are bit-identical either way —
-/// the switch exists for benchmarks and for proving exactly that.
-pub fn set_build_reuse(enabled: bool) {
-    BUILD_REUSE.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether build memoization is currently enabled.
-pub fn build_reuse_enabled() -> bool {
-    BUILD_REUSE.load(Ordering::Relaxed)
 }
 
 /// The RNG seed of one route lane: the trial's `ROUTE` master stream
@@ -101,25 +84,10 @@ pub fn route_lane_seed(seed: u64, trial: u64, route: u64) -> u64 {
     )
 }
 
-/// Process-global width of the batched route-evaluation kernel
-/// (default 64 lanes). Width 1 forces the per-lane scalar oracle
-/// ([`routing::route`](crate::routing::route))
-/// for every route; any width produces byte-identical results (pinned
-/// by tests) because each route draws from its own
-/// [`route_lane_seed`] sub-stream — the knob exists for benchmarks and
-/// for proving exactly that.
-static ROUTE_BATCH_WIDTH: AtomicUsize = AtomicUsize::new(64);
-
-/// Sets the route-kernel batch width (clamped to at least 1; width 1 =
-/// scalar oracle mode). See [`route_batch_width`].
-pub fn set_route_batch_width(width: usize) {
-    ROUTE_BATCH_WIDTH.store(width.max(1), Ordering::Relaxed);
-}
-
-/// The current route-kernel batch width.
-pub fn route_batch_width() -> usize {
-    ROUTE_BATCH_WIDTH.load(Ordering::Relaxed)
-}
+/// Lanes per chunk of the batched route kernel. Every route draws
+/// from its own [`route_lane_seed`] sub-stream, so the chunk size
+/// cannot perturb results; it only bounds the per-chunk lane buffers.
+const ROUTE_LANES: usize = 64;
 
 /// Which transport realizes each overlay hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -387,70 +355,55 @@ pub fn num_threads() -> usize {
         .min(16)
 }
 
-/// One memoized build: an overlay (plus the Chord substrate, once a
-/// Chord config has used the slot) keyed by the build-stream seeds that
-/// produced it. A sweep whose points share a structural configuration
-/// revisits the same `(overlay_seed, scenario)` key at every trial
-/// index — the slot answers those trials with a status reset instead of
-/// a rebuild.
+/// One memoized build: an overlay plus, once a Chord config has used
+/// the slot, the Chord substrate over its SOS membership.
 struct BuildSlot {
-    /// The overlay-build stream seed this slot's overlay was built from.
-    overlay_seed: u64,
-    /// The scenario the overlay was built for (memo key confirmation —
-    /// seeds collide across sweep points by design, scenarios disambiguate).
-    scenario: Scenario,
+    /// The `(master seed, trial)` the overlay was built for; with the
+    /// overlay's scenario it is the memo key. The ring seed is derived
+    /// from the same pair, so it needs no key of its own.
+    key: (u64, u64),
     overlay: Overlay,
-    /// The ring-build stream seed of `chord` (meaningless while `None`).
-    ring_seed: u64,
-    /// Chord substrate over `overlay`'s SOS membership; kept when a
-    /// Direct config borrows the slot so a later Chord config still
-    /// reuses it. Always the `Transport::Chord` variant when `Some`.
+    /// Chord substrate; kept while a Direct config uses the slot so a
+    /// later Chord config at the same key still reuses it. Always the
+    /// `Transport::Chord` variant when `Some`.
     chord: Option<Transport>,
-    /// `overlay.overlay_ids()`, collected once per membership.
+    /// Whether `chord` (and `members`) predate `overlay`'s build.
+    ring_stale: bool,
+    /// `overlay.overlay_ids()`, collected with each ring build.
     members: Vec<NodeId>,
-    /// LRU clock value of the slot's last use.
-    last_used: u64,
-    /// Whether this build ever answered a lookup. Misses evict the
-    /// most recently used *never-hit* slot first: a single-config run
-    /// (every trial a distinct seed, no hits possible) then churns one
-    /// cache-hot slot exactly like the old single-scratch engine,
-    /// instead of round-robining 8 cold multi-MB slots. Slots that
-    /// have produced hits are kept until no unproven slot remains.
-    hit: bool,
 }
 
-/// Memo slots for a *persistent* worker scratch (the sweep pool, whose
-/// workers outlive points): sweeps interleave trial batches of many
-/// points on one worker, and hits happen when a later point replays a
-/// trial index of an earlier structurally identical one — 8 slots
-/// cover several resident trial indices per structural group.
-///
-/// One-shot scratches ([`TrialScratch::new`], used by `run` /
-/// `run_parallel`) cap at **one** slot instead: within a single config
-/// every trial has a distinct build seed, so extra slots can never
-/// hit — they would only spread the working set over `BUILD_SLOTS`
-/// cold multi-MB builds and pay `BUILD_SLOTS` fresh allocations where
-/// the old single-scratch engine paid one (measured 2.6× slower on
-/// the 10k-node Chord workload).
-const BUILD_SLOTS: usize = 8;
+/// Trial indices a persistent (pool) worker keeps a build slot for.
+/// A sweep's points share a scenario and seed and differ only in the
+/// attack, so point after point replays the same trial indices. Hits
+/// pay only where builds are a visible share of a point's work: the
+/// daemon's small sweeps (`sosd-loopback`) run 2 trials per point, and
+/// the routing-bound grids with more trials per point time the same
+/// without the memo. Later indices share one extra slot, so a long
+/// single-config run rebuilds in one cache-hot slot like the one-shot
+/// engine.
+const MEMO_TRIALS: u64 = 2;
 
 /// Per-worker reusable trial state: memoized builds (overlay + Chord
 /// substrate), the ring liveness mask, and the routing buffers. Built on
 /// the first trial, reused or rebuilt in place on every subsequent one —
-/// the allocations survive, the contents do not (unless the memo proves
-/// they are already right).
+/// the allocations survive, the contents do not (unless the memo key
+/// proves they are already right).
+///
+/// The memo has one rule: trial `t` uses slot `min(t, memo_trials)`,
+/// which hits only on the exact key `(cfg.seed, t, scenario)` and then
+/// just clears the attack damage; any other key rebuilds the slot in
+/// place. One-shot scratches (`run`/`run_parallel`) have
+/// `memo_trials = 0`: within one config every trial index is distinct,
+/// so a single slot is all they can use.
 ///
 /// The remaining per-trial allocations are the attacker's knowledge and
 /// trace (owned by the attack outcome, which outlives the trial for
 /// observability) and backtracking path frames; everything on the
 /// overlay/ring/routing hot path is reused.
 pub(crate) struct TrialScratch {
-    slots: Vec<BuildSlot>,
-    /// Slot budget: 1 for one-shot scratches, [`BUILD_SLOTS`] for
-    /// persistent pool workers (see the [`BUILD_SLOTS`] doc).
-    cap: usize,
-    /// Monotone use counter driving LRU eviction.
-    clock: u64,
+    /// `memo_trials + 1` build slots, created on first use.
+    slots: Vec<Option<BuildSlot>>,
     /// The transport value Direct configs route through (slots keep
     /// their Chord substrate even while a Direct config runs).
     direct: Transport,
@@ -467,21 +420,18 @@ impl TrialScratch {
     /// One-shot scratch (single `run`/`run_parallel` call): one build
     /// slot, i.e. the classic rebuild-in-place engine.
     pub(crate) fn new() -> Self {
-        Self::with_cap(1)
+        Self::with_memo_trials(0)
     }
 
     /// Persistent scratch for pool workers that live across sweep
-    /// points: the full memo, so structurally identical points reuse
-    /// each other's builds.
+    /// points: [`MEMO_TRIALS`] memoized trial indices.
     pub(crate) fn persistent() -> Self {
-        Self::with_cap(BUILD_SLOTS)
+        Self::with_memo_trials(MEMO_TRIALS)
     }
 
-    fn with_cap(cap: usize) -> Self {
+    fn with_memo_trials(memo_trials: u64) -> Self {
         TrialScratch {
-            slots: Vec::new(),
-            cap,
-            clock: 0,
+            slots: (0..=memo_trials).map(|_| None).collect(),
             direct: Transport::Direct,
             ring_alive: NodeBitSet::new(),
             route: RouteScratch::new(),
@@ -489,29 +439,20 @@ impl TrialScratch {
         }
     }
 
-    /// Produces this trial's overlay + transport, reusing a memoized
-    /// build when one matches. Returns disjoint borrows of the overlay,
-    /// the transport to route through, the ring membership, the route
-    /// scratch and the liveness mask.
+    /// Produces this trial's overlay + transport from its memo slot.
+    /// Returns disjoint borrows of the overlay, the transport to route
+    /// through, the ring membership, the route scratch, the liveness
+    /// mask and the route kernel.
     ///
-    /// Reuse tiers (all bit-identical to a fresh build, pinned by
-    /// `sos-overlay` tests):
-    /// * exact hit (same overlay seed, equal scenario) — reset statuses,
-    ///   skip both builds;
-    /// * delta hit (same overlay seed, structure-preserving scenario
-    ///   change, e.g. a different mapping degree) — keep membership,
-    ///   re-roll only the neighbor tables;
-    /// * miss — evict the least-recently-used slot and rebuild into its
-    ///   allocations.
-    ///
-    /// The Chord substrate is reused whenever the membership carried
-    /// over and the ring seed matches; otherwise it is rebuilt in place.
+    /// A hit resets statuses, which equals a fresh build of the same
+    /// key (pinned by `sos-overlay`'s `status_reset_matches_fresh_build`);
+    /// a miss rebuilds with [`Overlay::build_into`] and marks the ring
+    /// stale, and a Chord config rebuilds a stale ring in place.
     #[allow(clippy::type_complexity)]
     fn prepare(
         &mut self,
         cfg: &SimulationConfig,
-        overlay_seed: u64,
-        ring_seed: u64,
+        trial: u64,
     ) -> (
         &mut Overlay,
         &mut Transport,
@@ -520,116 +461,53 @@ impl TrialScratch {
         &mut NodeBitSet,
         &mut RouteBatchScratch,
     ) {
-        self.clock += 1;
-        let reuse = build_reuse_enabled();
-        // Exact key first; a structure-preserving delta only as a
-        // fallback (an exact slot needs no neighbor re-roll at all).
-        let hit = if reuse {
-            self.slots
-                .iter()
-                .position(|s| s.overlay_seed == overlay_seed && s.scenario == cfg.scenario)
-                .or_else(|| {
-                    self.slots.iter().position(|s| {
-                        s.overlay_seed == overlay_seed
-                            && s.overlay.structure_matches(&cfg.scenario)
-                    })
-                })
-        } else {
-            None
-        };
-        let membership_carried = hit.is_some();
-        let idx = match hit {
-            Some(idx) => {
-                let slot = &mut self.slots[idx];
-                if slot.scenario == cfg.scenario {
-                    // Exact: the build would reproduce this overlay bit
-                    // for bit; clearing the attack damage is enough.
-                    slot.overlay.reset_statuses();
-                } else {
-                    // Delta: membership layout survives, only the
-                    // neighbor tables depend on the changed knob.
-                    let mut rng = StdRng::seed_from_u64(overlay_seed);
-                    slot.overlay.rebuild_neighbors_only(&cfg.scenario, &mut rng);
-                    slot.scenario.clone_from(&cfg.scenario);
-                }
-                self.slots[idx].hit = true;
+        let key = (cfg.seed, trial);
+        let last = self.slots.len() as u64 - 1;
+        let entry = &mut self.slots[trial.min(last) as usize];
+        let build_rng =
+            || StdRng::seed_from_u64(trial_stream_seed(cfg.seed, stream::OVERLAY_BUILD, trial));
+        match entry {
+            Some(slot) if slot.key == key && *slot.overlay.scenario() == cfg.scenario => {
+                // The build would reproduce this overlay bit for bit;
+                // clearing the attack damage is enough.
+                slot.overlay.reset_statuses();
                 if let Some(t) = telemetry::slot() {
                     t.add_build_reused();
                 }
-                idx
+            }
+            Some(slot) => {
+                slot.overlay.build_into(&cfg.scenario, &mut build_rng());
+                slot.key = key;
+                slot.ring_stale = true;
             }
             None => {
-                let mut rng = StdRng::seed_from_u64(overlay_seed);
-                let idx = if self.slots.len() < self.cap {
-                    self.slots.push(BuildSlot {
-                        overlay_seed,
-                        scenario: cfg.scenario.clone(),
-                        overlay: Overlay::build(&cfg.scenario, &mut rng),
-                        ring_seed: 0,
-                        chord: None,
-                        members: Vec::new(),
-                        last_used: 0,
-                        hit: false,
-                    });
-                    self.slots.len() - 1
-                } else {
-                    // Prefer the most recently used never-hit slot (see
-                    // `BuildSlot::hit`); LRU only among proven slots.
-                    let idx = self
-                        .slots
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| !s.hit)
-                        .max_by_key(|(_, s)| s.last_used)
-                        .or_else(|| {
-                            self.slots
-                                .iter()
-                                .enumerate()
-                                .min_by_key(|(_, s)| s.last_used)
-                        })
-                        .map(|(i, _)| i)
-                        .expect("slots are non-empty");
-                    let slot = &mut self.slots[idx];
-                    slot.overlay_seed = overlay_seed;
-                    slot.scenario.clone_from(&cfg.scenario);
-                    slot.overlay.build_into(&cfg.scenario, &mut rng);
-                    slot.hit = false;
-                    idx
-                };
-                self.slots[idx].members.clear();
-                idx
-            }
-        };
-        let slot = &mut self.slots[idx];
-        slot.last_used = self.clock;
-        if cfg.transport == TransportKind::Chord {
-            if slot.members.is_empty() {
-                slot.members.extend(slot.overlay.overlay_ids());
-            }
-            let ring_ok =
-                membership_carried && slot.ring_seed == ring_seed && slot.chord.is_some();
-            if !ring_ok {
-                let mut ring_rng = StdRng::seed_from_u64(ring_seed);
-                match &mut slot.chord {
-                    Some(Transport::Chord(ring)) => {
-                        ring.build_into(&mut ring_rng, &slot.members);
-                    }
-                    _ => {
-                        slot.chord = Some(Transport::Chord(ChordRing::build(
-                            &mut ring_rng,
-                            &slot.members,
-                        )));
-                    }
-                }
-                slot.ring_seed = ring_seed;
+                *entry = Some(BuildSlot {
+                    key,
+                    overlay: Overlay::build(&cfg.scenario, &mut build_rng()),
+                    chord: None,
+                    ring_stale: true,
+                    members: Vec::new(),
+                });
             }
         }
         let BuildSlot {
             overlay,
             chord,
+            ring_stale,
             members,
             ..
-        } = slot;
+        } = entry.as_mut().expect("slot just filled");
+        if cfg.transport == TransportKind::Chord && *ring_stale {
+            members.clear();
+            members.extend(overlay.overlay_ids());
+            let mut ring_rng =
+                StdRng::seed_from_u64(trial_stream_seed(cfg.seed, stream::RING_BUILD, trial));
+            match chord {
+                Some(Transport::Chord(ring)) => ring.build_into(&mut ring_rng, members),
+                _ => *chord = Some(Transport::Chord(ChordRing::build(&mut ring_rng, members))),
+            }
+            *ring_stale = false;
+        }
         let transport = match cfg.transport {
             TransportKind::Direct => &mut self.direct,
             TransportKind::Chord => chord.as_mut().expect("chord substrate just built"),
@@ -938,9 +816,8 @@ impl Simulation {
         // sampling — so a Direct run and a Chord run with the same seed
         // see the *same* overlay and the same attack (paired
         // comparison), and a memo hit that skips a build stream cannot
-        // perturb any other stream's draws.
-        let overlay_seed = trial_stream_seed(cfg.seed, stream::OVERLAY_BUILD, trial);
-        let ring_seed = trial_stream_seed(cfg.seed, stream::RING_BUILD, trial);
+        // perturb any other stream's draws. The build streams are
+        // derived inside `prepare`, which draws them only on a miss.
         let attack_seed = trial_stream_seed(cfg.seed, stream::ATTACK, trial);
         let mut rng = StdRng::seed_from_u64(attack_seed);
         // The fault plane draws from its own keyed PRF (never the trial
@@ -948,11 +825,11 @@ impl Simulation {
         // attack, or routing randomness.
         let plan = (!cfg.faults.is_none()).then(|| FaultPlan::new(&cfg.faults, trial));
         // First trial on this worker builds the scratch state; later
-        // trials reuse a memoized build when the seeds/scenario match
-        // and rebuild in place otherwise (both bit-identical to a fresh
-        // build — memo hits skip work, never change it).
+        // trials reuse a memoized build on an exact key and rebuild in
+        // place otherwise (both bit-identical to a fresh build — memo
+        // hits skip work, never change it).
         let (overlay, transport, members, route_scratch, ring_alive, route_batch) =
-            scratch.prepare(cfg, overlay_seed, ring_seed);
+            scratch.prepare(cfg, trial);
         timer.lap(PhaseKind::Build);
 
         // Logical tick within the trial; only advanced in traced runs.
@@ -1079,20 +956,19 @@ impl Simulation {
             .refresh_alive_positions(overlay, plan.as_ref(), ring_alive)
             .then_some(&*ring_alive);
         // Routes are evaluated by the batched SoA kernel in chunks of
-        // `route_batch_width()` lanes. Every route draws from its own
+        // `ROUTE_LANES` lanes. Every route draws from its own
         // `route_lane_seed` sub-stream (never the attack rng above), so
-        // chunking, lane order and batch width cannot perturb results —
-        // width 1 runs the scalar `routing::route` oracle per lane
-        // and is byte-identical (pinned by tests). Events and partial
-        // accumulation happen per chunk, in route order, so traced runs
-        // see exactly the per-route event sequence of the scalar loop.
-        let width = route_batch_width();
+        // chunking and lane order cannot perturb results — every lane
+        // equals the scalar `routing::route` oracle (pinned by tests).
+        // Events and partial accumulation happen per chunk, in route
+        // order, so traced runs see exactly the per-route event
+        // sequence of the scalar loop.
         let route_master = trial_stream_seed(cfg.seed, stream::ROUTE, trial);
         route_batch.begin_trial();
         let mut delivered = 0u64;
         let mut first = 0u64;
         while first < cfg.routes_per_trial {
-            let count = (cfg.routes_per_trial - first).min(width as u64) as usize;
+            let count = (cfg.routes_per_trial - first).min(ROUTE_LANES as u64) as usize;
             route_batch.evaluate(
                 overlay,
                 transport,
@@ -1104,7 +980,7 @@ impl Simulation {
                 count,
                 alive,
                 route_scratch,
-                width > 1,
+                true,
             );
             for lane in 0..count {
                 let route = first + lane as u64;

@@ -75,8 +75,7 @@ pub mod timing;
 
 pub use compare::{ComparisonRow, compare_models};
 pub use engine::{
-    build_reuse_enabled, num_threads, route_batch_width, route_lane_seed, set_build_reuse,
-    set_route_batch_width, stream, trial_stream_seed, Simulation, SimulationConfig,
+    num_threads, route_lane_seed, stream, trial_stream_seed, Simulation, SimulationConfig,
     SimulationResult, TransportKind,
 };
 pub use pool::pool_map;

@@ -25,23 +25,25 @@
 //!
 //! Every route draws from its own splitmix64 sub-stream
 //! ([`route_lane_seed`](crate::route_lane_seed), stream tag
-//! [`stream::ROUTE`](crate::stream::ROUTE)), so lane order, chunking
-//! and batch width *cannot* perturb draws: a lane's draw sequence is a
-//! pure function of `(seed, trial, route)`. The fast paths below are
+//! [`stream::ROUTE`](crate::stream::ROUTE)), so lane order and
+//! chunking *cannot* perturb draws: a lane's draw sequence is a pure
+//! function of `(seed, trial, route)`. The fast paths below are
 //! faithful specializations of [`route`](crate::routing::route) to the
 //! fault-free case: layer-synchronous lanes for the greedy policies,
 //! and a memo-backed DFS (parent-pointer frames instead of a cloned
 //! path `Vec` per frame, hops from the shared per-trial Chord memo)
 //! for backtracking. When neither applies (an active fault plan, a
-//! protocol transport, or batch width 1) each lane runs the scalar
-//! oracle itself with its lane RNG — trivially identical. Faulted
+//! protocol transport, or `batched = false`, the tests' reference) each
+//! lane runs the scalar oracle itself with its lane RNG — trivially
+//! identical. Faulted
 //! Chord lanes still share the per-trial hop memo through the oracle
 //! (hop pricing is a pure function of `(from, to, mask)`; fault draws
 //! never enter the substrate walk, so memoization cannot perturb the
 //! plan's counted streams).
 //! Tests in `tests/route_batch.rs` pin lane-for-lane equality against
-//! the oracle (including RNG end state) and byte-identity of
-//! `run_parallel`/`run_sweep` across widths 1/4/16/64.
+//! the oracle, also when one trial's routes arrive in chunks of
+//! 1/4/16/24 lanes, and byte-identity of `run_parallel`/`run_sweep`
+//! across thread counts.
 
 use crate::routing::{route_priced, RouteCtx, RouteResult, RouteScratch, RoutingPolicy};
 use rand::rngs::StdRng;

@@ -1,12 +1,14 @@
 //! The engine's per-worker build memo must be observationally pure:
-//! a sweep's serialized results are byte-identical with reuse on and
-//! off, at every thread count. The memo only ever skips the dedicated
-//! build RNG sub-streams, so downstream attack/routing draws cannot
-//! shift.
+//! a persistent `SweepExecutor`, whose pool workers memoize builds
+//! across sweep points, serializes byte-identical results at every
+//! thread count to per-config `Simulation::run_parallel` calls, whose
+//! one-shot scratches cannot hit. The memo only ever skips the
+//! dedicated build RNG sub-streams, so downstream attack/routing draws
+//! cannot shift.
 
 use sos_core::{AttackBudget, AttackConfig, MappingDegree, Scenario, SystemParams};
-use sos_sim::engine::{SimulationConfig, TransportKind};
-use sos_sim::{set_build_reuse, SweepExecutor};
+use sos_sim::engine::{Simulation, SimulationConfig, TransportKind};
+use sos_sim::SweepExecutor;
 
 fn scenario(mapping_k: u64) -> Scenario {
     Scenario::builder()
@@ -18,9 +20,9 @@ fn scenario(mapping_k: u64) -> Scenario {
         .unwrap()
 }
 
-/// A grid that exercises both memo tiers: attack-only transitions over
-/// a shared structure (exact hits) and a mapping-degree change over the
-/// same membership (delta rebuilds), on both transports.
+/// A grid with attack-only transitions over a shared structure (exact
+/// memo hits) and a mapping-degree change over the same membership (a
+/// miss that rebuilds in place), on both transports.
 fn grid() -> Vec<SimulationConfig> {
     let mut configs = Vec::new();
     for transport in [TransportKind::Direct, TransportKind::Chord] {
@@ -51,28 +53,17 @@ fn grid() -> Vec<SimulationConfig> {
 }
 
 #[test]
-fn sweep_results_identical_with_reuse_on_and_off_at_any_thread_count() {
+fn memoized_sweeps_match_memo_free_runs_at_any_thread_count() {
     let configs = grid();
-    let mut reference: Option<String> = None;
     for threads in [1usize, 2, 4, 8] {
-        set_build_reuse(true);
-        let on = SweepExecutor::with_threads(threads).run(&configs);
-        set_build_reuse(false);
-        let off = SweepExecutor::with_threads(threads).run(&configs);
-        set_build_reuse(true);
-        let on_json = serde_json::to_string(&on).unwrap();
-        let off_json = serde_json::to_string(&off).unwrap();
-        assert_eq!(
-            on_json, off_json,
-            "build memo changed sweep results at {threads} threads"
-        );
-        // And the whole family agrees across thread counts.
-        match &reference {
-            None => reference = Some(on_json),
-            Some(expected) => assert_eq!(
-                expected, &on_json,
-                "sweep results differ between thread counts ({threads})"
-            ),
+        let swept = SweepExecutor::with_threads(threads).run(&configs);
+        for (cfg, result) in configs.iter().zip(&swept) {
+            let reference = Simulation::new(cfg.clone()).run_parallel(threads);
+            assert_eq!(
+                serde_json::to_string(&reference).unwrap(),
+                serde_json::to_string(result).unwrap(),
+                "build memo changed a sweep result at {threads} threads ({cfg:?})"
+            );
         }
     }
 }

@@ -1,9 +1,10 @@
 //! The batched SoA route kernel must be observationally pure: every
 //! lane equals the scalar `routing::route` oracle (same
-//! delivered/hops/incidents, same RNG sub-stream), and whole-run
-//! results are byte-identical at any batch width and thread count —
-//! each route draws from its own `route_lane_seed` stream, so lane
-//! order and chunking cannot perturb draws.
+//! delivered/hops/incidents, same RNG sub-stream) however a trial's
+//! routes are split into chunks, and whole-run results are
+//! byte-identical at any thread count — each route draws from its own
+//! `route_lane_seed` stream, so lane order and chunking cannot perturb
+//! draws.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,10 +16,8 @@ use sos_overlay::{ChordRing, NodeBitSet, NodeId, Overlay, Transport};
 use sos_sim::engine::{SimulationConfig, TransportKind};
 use sos_sim::routing::{route, RouteCtx, RouteScratch, RoutingPolicy};
 use sos_sim::{
-    route_batch_width, route_lane_seed, set_route_batch_width, stream, trial_stream_seed,
-    RouteBatchScratch, Simulation, SweepExecutor,
+    route_lane_seed, stream, trial_stream_seed, RouteBatchScratch, Simulation, SweepExecutor,
 };
-use std::sync::Mutex;
 
 const POLICIES: [RoutingPolicy; 3] = [
     RoutingPolicy::RandomGood,
@@ -159,6 +158,56 @@ proptest! {
             }
         }
     }
+
+    /// One trial's 24 routes evaluated in chunks of 1, 4, 16 or 24
+    /// lanes through one kernel scratch (one `begin_trial`, so later
+    /// chunks price Chord hops from the memo earlier chunks filled)
+    /// equal the unchunked scalar oracle lane for lane — across all
+    /// three policies, both transports, and fault plane off, lossy and
+    /// crashing.
+    #[test]
+    fn chunked_kernel_lanes_match_scalar_oracle(seed in 0..1_000u64, trial in 0..50u64) {
+        let lossy = FaultConfig::none().loss(0.25).delay(0.2, 2).seed(9);
+        let crashing = FaultConfig::none().crash(0.15).seed(9);
+        let route_master = trial_stream_seed(seed, stream::ROUTE, trial);
+        let count = 24usize;
+        for chord in [false, true] {
+            for policy in POLICIES {
+                for fault_cfg in [None, Some(&lossy), Some(&crashing)] {
+                    let new_plan = || fault_cfg.map(|cfg| FaultPlan::new(cfg, trial));
+                    let plan_mask = new_plan();
+                    let (overlay, transport, mask) = damaged(seed, chord, plan_mask.as_ref());
+                    let alive = chord.then_some(&mask);
+                    let plan_oracle = new_plan();
+                    let oracle = kernel_results(
+                        &overlay, &transport, policy, plan_oracle.as_ref(),
+                        route_master, count, alive, false,
+                    );
+                    for chunk in [1usize, 4, 16, 24] {
+                        let plan = new_plan();
+                        let mut kernel = RouteBatchScratch::new();
+                        let mut scratch = RouteScratch::new();
+                        kernel.begin_trial();
+                        let mut lanes = Vec::new();
+                        for first in (0..count).step_by(chunk) {
+                            let n = chunk.min(count - first);
+                            kernel.evaluate(
+                                &overlay, &transport, policy, plan.as_ref(),
+                                &RetryPolicy::none(), route_master, first as u64, n,
+                                alive, &mut scratch, true,
+                            );
+                            lanes.extend((0..n).map(|k| kernel.result(k).clone()));
+                        }
+                        prop_assert_eq!(
+                            &lanes, &oracle,
+                            "chunks of {} != oracle: chord={} policy={} faults={}",
+                            chunk, chord, policy, fault_cfg.is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 fn sim_config(
@@ -183,17 +232,11 @@ fn sim_config(
     cfg
 }
 
-/// Serializes the tests that write the process-global batch width: the
-/// test harness runs tests on parallel threads, so without it a "width
-/// 1" run could execute at another test's width.
-static WIDTH_LOCK: Mutex<()> = Mutex::new(());
-
-/// `run_parallel` output is byte-identical across batch widths 1/4/16/64
-/// and 1/2/4/8 threads, for greedy and backtracking policies, both
-/// transports, fault plane on and off.
+/// `run_parallel` output is byte-identical at 1/2/4/8 threads, for
+/// greedy and backtracking policies, both transports, fault plane on
+/// and off.
 #[test]
-fn run_parallel_byte_identical_across_widths_and_threads() {
-    let _width = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn run_parallel_byte_identical_across_threads() {
     for transport in [TransportKind::Direct, TransportKind::Chord] {
         for (policy, faulted) in [
             (RoutingPolicy::RandomGood, false),
@@ -201,35 +244,27 @@ fn run_parallel_byte_identical_across_widths_and_threads() {
             (RoutingPolicy::Backtracking, false),
             (RoutingPolicy::RandomGood, true),
         ] {
-            let cfg = sim_config(transport, policy, faulted);
-            let sim = Simulation::new(cfg);
+            let sim = Simulation::new(sim_config(transport, policy, faulted));
             let mut reference: Option<String> = None;
-            for width in [1usize, 4, 16, 64] {
-                set_route_batch_width(width);
-                for threads in [1usize, 2, 4, 8] {
-                    let json = serde_json::to_string(&sim.run_parallel(threads)).unwrap();
-                    assert_eq!(route_batch_width(), width, "width changed mid-run");
-                    match &reference {
-                        None => reference = Some(json),
-                        Some(expect) => assert_eq!(
-                            expect, &json,
-                            "width {width} / {threads} threads diverged \
-                             ({transport:?} {policy} faults={faulted})"
-                        ),
-                    }
+            for threads in [1usize, 2, 4, 8] {
+                let json = serde_json::to_string(&sim.run_parallel(threads)).unwrap();
+                match &reference {
+                    None => reference = Some(json),
+                    Some(expect) => assert_eq!(
+                        expect, &json,
+                        "{threads} threads diverged ({transport:?} {policy} faults={faulted})"
+                    ),
                 }
             }
-            set_route_batch_width(64);
         }
     }
 }
 
-/// `run_sweep` (the pooled executor) is byte-identical across batch
-/// widths too — the kernel lives below the sweep scheduler, so cached
-/// and recomputed points agree at any width.
+/// `run_sweep` (the pooled executor) is byte-identical at 1/2/4/8
+/// threads too — the kernel lives below the sweep scheduler, so who
+/// routes a trial never changes what it delivers.
 #[test]
-fn run_sweep_byte_identical_across_widths() {
-    let _width = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn run_sweep_byte_identical_across_threads() {
     let configs: Vec<SimulationConfig> = [TransportKind::Direct, TransportKind::Chord]
         .into_iter()
         .flat_map(|t| {
@@ -239,17 +274,14 @@ fn run_sweep_byte_identical_across_widths() {
         })
         .collect();
     let mut reference: Option<String> = None;
-    for width in [1usize, 4, 16, 64] {
-        set_route_batch_width(width);
-        let results = SweepExecutor::with_threads(4).run(&configs);
-        assert_eq!(route_batch_width(), width, "width changed mid-run");
+    for threads in [1usize, 2, 4, 8] {
+        let results = SweepExecutor::with_threads(threads).run(&configs);
         let json = serde_json::to_string(&results).unwrap();
         match &reference {
             None => reference = Some(json),
-            Some(expect) => assert_eq!(expect, &json, "sweep diverged at width {width}"),
+            Some(expect) => assert_eq!(expect, &json, "sweep diverged at {threads} threads"),
         }
     }
-    set_route_batch_width(64);
 }
 
 /// Fig. 4-style statistical check: after the per-route stream

@@ -47,8 +47,11 @@ BENCH_BIN = "bench_baseline"
 PROFILE_BINS = ("ablation_routing", "fig4a")
 # Result-bearing keys inside a BENCH_trials workload row.  Timing keys
 # (before/after/speedup/phases) legitimately change under PGO; these
-# must not.
-RESULT_KEYS = ("name", "trials", "threads", "build_reused")
+# must not.  `build_reused` is deliberately absent: with more than one
+# worker it counts which worker claimed which trial (a memo hit needs
+# the same worker to see the same trial index twice), so two identical
+# runs can differ without any result changing.
+RESULT_KEYS = ("name", "trials", "threads")
 
 
 def run(cmd: list[str], *, env: dict[str, str] | None = None,
@@ -95,8 +98,8 @@ def cargo_build(target_dir: Path, rustflags: str) -> Path:
 def result_view(bench_json: Path) -> str:
     """Project a BENCH_trials document onto its result-bearing fields.
 
-    Timings differ run to run (that is the point of PGO); trial counts,
-    thread counts and build-reuse counters are seeded and must not.
+    Timings differ run to run (that is the point of PGO); trial and
+    thread counts are fixed by the workloads and must not.
     """
     doc = json.loads(bench_json.read_text())
     rows = [{k: w[k] for k in RESULT_KEYS if k in w}

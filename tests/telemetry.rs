@@ -176,3 +176,57 @@ fn pool_map_jobs_leave_trial_and_point_counters_unchanged() {
     assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
     assert_eq!(counters(), before);
 }
+
+/// The build memo's one rule, pinned by its hit count: a pool worker
+/// keeps a slot per trial index below 2 plus one shared slot, and a
+/// slot hits only on the exact `(seed, trial, scenario)` it last built.
+/// Four points that differ only in the attack replay the first point's
+/// trials three times. At 3 trials per point trial 2 has the shared
+/// slot to itself, so one worker reuses 3 × 3 = 9 builds; at 12 the
+/// shared slot ends each point holding trial 11, so only trials 0 and
+/// 1 hit: 3 × 2 = 6. One `run_parallel` config has no repeated trial
+/// index and reuses none.
+#[test]
+fn sweep_build_memo_hits_are_pinned() {
+    let memo_scenario = Scenario::builder()
+        .system(SystemParams::new(400, 48, 0.5).unwrap())
+        .layers(3)
+        .mapping(MappingDegree::OneTo(2))
+        .filters(6)
+        .build()
+        .unwrap();
+    let points = |trials: u64| -> Vec<SimulationConfig> {
+        [40u64, 80, 120, 160]
+            .into_iter()
+            .map(|nc| {
+                SimulationConfig::new(
+                    memo_scenario.clone(),
+                    AttackConfig::OneBurst {
+                        budget: AttackBudget::new(10, nc),
+                    },
+                )
+                .trials(trials)
+                .routes_per_trial(12)
+                .seed(7)
+            })
+            .collect()
+    };
+    let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let reused = |run: &dyn Fn()| {
+        let before = telemetry::snapshot().build_reused;
+        with_telemetry(run);
+        telemetry::snapshot().build_reused - before
+    };
+    for (trials, expected) in [(3u64, 9u64), (12, 6)] {
+        let configs = points(trials);
+        let hits = reused(&|| {
+            SweepExecutor::with_threads(1).run(&configs);
+        });
+        assert_eq!(hits, expected, "{trials} trials per point");
+    }
+    let single = points(12).remove(0);
+    let hits = reused(&|| {
+        Simulation::new(single.clone()).run_parallel(2);
+    });
+    assert_eq!(hits, 0, "a single config repeats no trial index");
+}
