@@ -15,6 +15,7 @@ use sos_des::Scheduler;
 use sos_overlay::protocol::{run_maintenance, ChordProtocol, ProtocolConfig};
 use sos_overlay::NodeId;
 use sos_sim::{FlowModel, FlowSimulation};
+use std::collections::HashSet;
 use std::hint::black_box;
 
 fn scenario(mapping: MappingDegree) -> Scenario {
@@ -108,6 +109,41 @@ fn bench_chord_protocol(c: &mut Criterion) {
                     run_maintenance(&mut proto, &mut sched, now + 30);
                 }
             }
+            black_box(proto.convergence_fraction())
+        })
+    });
+    // `ext-staleness` sizing: a short successor list, maintenance for
+    // 25 ticks after every 8th join, then 3,000 ticks of settling.
+    group.bench_function("converge-400-ring", |b| {
+        b.iter(|| {
+            let mut rng = StdRng::seed_from_u64(7);
+            let cfg = ProtocolConfig {
+                successor_list_len: 3,
+                ..ProtocolConfig::default()
+            };
+            let mut proto = ChordProtocol::new(cfg);
+            let mut sched = Scheduler::new();
+            let mut ids = Vec::with_capacity(400);
+            let mut used = HashSet::with_capacity(400);
+            for i in 0..400u32 {
+                let mut id = rng.gen::<u64>();
+                while !used.insert(id) {
+                    id = rng.gen::<u64>();
+                }
+                ids.push(id);
+                if i == 0 {
+                    proto.bootstrap(id, NodeId(i), &mut sched);
+                } else {
+                    let via = ids[rng.gen_range(0..i as usize)];
+                    proto.join(id, NodeId(i), via, &mut sched);
+                    if i % 8 == 0 {
+                        let now = sched.now();
+                        run_maintenance(&mut proto, &mut sched, now + 25);
+                    }
+                }
+            }
+            let now = sched.now();
+            run_maintenance(&mut proto, &mut sched, now + 3_000);
             black_box(proto.convergence_fraction())
         })
     });

@@ -16,17 +16,23 @@
 //! | `ext-protocol-churn` | Chord lookup correctness under continuous join/leave churn |
 //! | `ext-faults`         | benign message loss on top of a fixed attack: how much `P_S` do hop retries buy back? |
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sos_analysis::sweep::{SweepPoint, SweepSeries, SweepTable};
 use sos_analysis::MultiRoleAnalysis;
 use sos_core::{
     AttackBudget, AttackConfig, MappingDegree, PathEvaluator, Scenario, SuccessiveParams,
     SystemParams,
 };
+use sos_des::Scheduler;
 use sos_faults::{FaultConfig, RetryPolicy};
+use sos_overlay::protocol::{run_maintenance, ChordProtocol, MaintenanceEvent, ProtocolConfig};
+use sos_overlay::NodeId;
 use sos_sim::engine::{SimulationConfig, TransportKind};
 use sos_sim::repair::{AttackerPersistence, RepairConfig, RepairSimulation};
 use sos_sim::routing::RoutingPolicy;
 use sos_sim::{compare_models, pool_map, run_sweep, ComparisonRow};
+use std::collections::HashSet;
 use std::sync::Mutex;
 
 /// Monte Carlo sizing shared by the ablations.
@@ -502,41 +508,56 @@ pub fn flow_extension(opts: AblationOptions) -> SweepTable {
     table
 }
 
+/// A protocol ring of `n` members, overlay node `i` behind a fresh
+/// random id, each joining via a random earlier member. After every
+/// `join_every`-th join maintenance runs for `interleave` ticks, and
+/// after the last for `settle` ticks. Returns the ring, its timers and
+/// the ids in join order.
+fn joined_ring(
+    cfg: ProtocolConfig,
+    n: usize,
+    join_every: usize,
+    interleave: u64,
+    settle: u64,
+    rng: &mut StdRng,
+) -> (ChordProtocol, Scheduler<MaintenanceEvent>, Vec<u64>) {
+    let mut proto = ChordProtocol::new(cfg);
+    let mut sched = Scheduler::new();
+    let mut ids = Vec::with_capacity(n);
+    let mut used = HashSet::with_capacity(n);
+    for i in 0..n {
+        let mut id = rng.gen::<u64>();
+        while !used.insert(id) {
+            id = rng.gen::<u64>();
+        }
+        ids.push(id);
+        let node = NodeId(u32::try_from(i).expect("fewer than 2^32 members"));
+        if i == 0 {
+            proto.bootstrap(id, node, &mut sched);
+        } else {
+            let via = ids[rng.gen_range(0..i)];
+            proto.join(id, node, via, &mut sched);
+            if i % join_every == 0 {
+                let now = sched.now();
+                run_maintenance(&mut proto, &mut sched, now + interleave);
+            }
+        }
+    }
+    let now = sched.now();
+    run_maintenance(&mut proto, &mut sched, now + settle);
+    (proto, sched, ids)
+}
+
 /// `ext-stabilization`: Chord-protocol recovery after mass failure —
 /// strict-convergence fraction vs maintenance time, for several failure
 /// fractions. The converged ring is built once; each kill fraction is
 /// one pool job on its own copy.
 pub fn stabilization_extension() -> SweepTable {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use sos_des::Scheduler;
-    use sos_overlay::protocol::{run_maintenance, ChordProtocol, ProtocolConfig};
-    use sos_overlay::NodeId;
-
     const KILL_FRACTIONS: [f64; 3] = [0.1, 0.25, 0.4];
     let mut table = SweepTable::new("ext-stabilization", "t", "converged_fraction");
+    // A 128-node ring, maintained after every join, then converged.
     let mut rng = StdRng::seed_from_u64(2004);
-    let mut proto = ChordProtocol::new(ProtocolConfig::default());
-    let mut sched = Scheduler::new();
-    // Build a 128-node ring and converge it.
-    let mut ids = Vec::new();
-    for i in 0..128u32 {
-        let mut id = rng.gen::<u64>();
-        while ids.contains(&id) {
-            id = rng.gen::<u64>();
-        }
-        ids.push(id);
-        if i == 0 {
-            proto.bootstrap(id, NodeId(i), &mut sched);
-        } else {
-            let via = ids[rng.gen_range(0..i as usize)];
-            proto.join(id, NodeId(i), via, &mut sched);
-            let now = sched.now();
-            run_maintenance(&mut proto, &mut sched, now + 30);
-        }
-    }
-    let now = sched.now();
-    run_maintenance(&mut proto, &mut sched, now + 2_000);
+    let (proto, sched, ids) = joined_ring(ProtocolConfig::default(), 128, 1, 30, 2_000, &mut rng);
     // The protocol counts lookups in a `Cell`, so jobs copy the ring
     // out from behind a lock rather than sharing it.
     let ring = Mutex::new((proto, sched));
@@ -640,12 +661,8 @@ fn staleness_trial(
     scenario: &Scenario,
     trial: u64,
 ) -> (f64, [f64; STALENESS_MEASURE_POINTS.len()]) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
     use sos_attack::OneBurstAttacker;
-    use sos_des::Scheduler;
-    use sos_overlay::protocol::{run_maintenance, ChordProtocol, ProtocolConfig};
-    use sos_overlay::{NodeId, Overlay, Transport};
+    use sos_overlay::{Overlay, Transport};
     use sos_sim::routing::{route, RouteCtx, RouteScratch, RoutingPolicy};
 
     let mut scratch = RouteScratch::new();
@@ -658,29 +675,8 @@ fn staleness_trial(
         successor_list_len: 3,
         ..ProtocolConfig::default()
     };
-    let mut proto = ChordProtocol::new(cfg);
-    let mut sched = Scheduler::new();
-    let members: Vec<NodeId> = overlay.overlay_ids().collect();
-    let mut ids: Vec<u64> = Vec::with_capacity(members.len());
-    for (i, &m) in members.iter().enumerate() {
-        let mut id = rng.gen::<u64>();
-        while ids.contains(&id) {
-            id = rng.gen::<u64>();
-        }
-        ids.push(id);
-        if i == 0 {
-            proto.bootstrap(id, m, &mut sched);
-        } else {
-            let via = ids[rng.gen_range(0..i)];
-            proto.join(id, m, via, &mut sched);
-            if i % 8 == 0 {
-                let now = sched.now();
-                run_maintenance(&mut proto, &mut sched, now + 25);
-            }
-        }
-    }
-    let now = sched.now();
-    run_maintenance(&mut proto, &mut sched, now + 3_000);
+    let n = overlay.overlay_node_count();
+    let (mut proto, mut sched, _) = joined_ring(cfg, n, 8, 25, 3_000, &mut rng);
 
     // Attack lands: overlay statuses change and the same nodes die on
     // the ring (a congested node cannot serve Chord either).
@@ -723,41 +719,21 @@ fn staleness_trial(
 /// ring is built once; each interval is one pool job churning its own
 /// copy of the ring and its random stream.
 pub fn protocol_churn_extension() -> SweepTable {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use sos_des::Scheduler;
-    use sos_overlay::protocol::{run_maintenance, ChordProtocol, ProtocolConfig};
-    use sos_overlay::NodeId;
-
     const INTERVALS: [u64; 6] = [2, 5, 10, 20, 40, 80];
+    const MEMBERS: u32 = 96;
     let mut table = SweepTable::new("ext-protocol-churn", "churn_interval", "lookup_correct");
-    let mut rng = StdRng::seed_from_u64(2001);
-    let mut proto = ChordProtocol::new(ProtocolConfig::default());
-    let mut sched = Scheduler::new();
-    let mut alive_ids: Vec<u64> = Vec::new();
-    let mut next_node = 0u32;
-    let mut used = std::collections::HashSet::new();
     // Build a converged 96-node ring.
-    for i in 0..96usize {
-        let mut id = rng.gen::<u64>();
-        while !used.insert(id) {
-            id = rng.gen::<u64>();
-        }
-        alive_ids.push(id);
-        if i == 0 {
-            proto.bootstrap(id, NodeId(next_node), &mut sched);
-        } else {
-            let via = alive_ids[rng.gen_range(0..i)];
-            proto.join(id, NodeId(next_node), via, &mut sched);
-            if i % 8 == 0 {
-                let now = sched.now();
-                run_maintenance(&mut proto, &mut sched, now + 25);
-            }
-        }
-        next_node += 1;
-    }
-    let now = sched.now();
-    run_maintenance(&mut proto, &mut sched, now + 3_000);
+    let mut rng = StdRng::seed_from_u64(2001);
+    let (proto, sched, alive_ids) = joined_ring(
+        ProtocolConfig::default(),
+        MEMBERS as usize,
+        8,
+        25,
+        3_000,
+        &mut rng,
+    );
+    let used: HashSet<u64> = alive_ids.iter().copied().collect();
+    let next_node = MEMBERS;
     let ring = Mutex::new((proto, sched, rng, alive_ids, used, next_node));
 
     let points = pool_map(INTERVALS.len(), move |k| {

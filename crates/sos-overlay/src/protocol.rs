@@ -73,13 +73,28 @@ struct ProtoNode {
     next_finger: usize,
 }
 
-/// Maintenance events.
+/// The participant a maintenance timer belongs to: its slot, so
+/// [`ChordProtocol`] reaches its state without an id lookup, and its
+/// Chord id, so a timer is honoured only by the protocol that armed it.
+/// Opaque outside this module.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Participant {
+    slot: Slot,
+    id: u64,
+}
+
+/// Maintenance events: periodic timers, each re-armed after it fires.
+///
+/// A timer fires only if its [`Participant`] names a live node of the
+/// protocol that handles it (same slot, same Chord id); otherwise it is
+/// dropped and not re-armed. So a dead node's timers stop, and a timer
+/// armed by another protocol never runs here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenanceEvent {
-    /// Periodic stabilize at the node with this Chord id.
-    Stabilize(u64),
-    /// Periodic fix-fingers at the node with this Chord id.
-    FixFingers(u64),
+    /// Periodic stabilize at this participant.
+    Stabilize(Participant),
+    /// Periodic fix-fingers at this participant.
+    FixFingers(Participant),
 }
 
 /// The protocol simulator: all participants plus their timers.
@@ -192,10 +207,14 @@ impl ChordProtocol {
         let pos = self.ring.partition_point(|&(x, _)| x < id);
         self.ring.insert(pos, (id, slot));
         self.slot_of_overlay.insert(overlay, slot);
-        sched.schedule_in(self.cfg.stabilize_interval, MaintenanceEvent::Stabilize(id));
+        let who = Participant { slot, id };
+        sched.schedule_in(
+            self.cfg.stabilize_interval,
+            MaintenanceEvent::Stabilize(who),
+        );
         sched.schedule_in(
             self.cfg.fix_fingers_interval,
-            MaintenanceEvent::FixFingers(id),
+            MaintenanceEvent::FixFingers(who),
         );
     }
 
@@ -473,10 +492,18 @@ impl ChordProtocol {
     /// Distinct slots have distinct ids, so the minimum distance names
     /// one candidate and the scan order cannot matter; liveness is
     /// checked only for a candidate that would improve on the best.
+    /// The answer depends only on the *set* of fingers and `usable` is
+    /// pure, so an entry equal to the one before it is skipped unread:
+    /// in a converged ring most low fingers repeat the successor.
     fn closest_usable_finger(&self, slot: Slot, plan: Option<&FaultPlan>) -> Option<Slot> {
         let id = self.id_of(slot);
         let mut best: Option<(u64, Slot)> = None; // (clockwise distance from id, candidate)
+        let mut prev = slot;
         for &cand in self.fingers_of(slot) {
+            if cand == prev {
+                continue;
+            }
+            prev = cand;
             if cand == slot {
                 continue;
             }
@@ -489,7 +516,8 @@ impl ChordProtocol {
     }
 
     /// The usable finger or successor-list entry strictly between `at`
-    /// and `key` that is closest to `key` (same order argument as
+    /// and `key` that is closest to `key` (same order and repeated-entry
+    /// arguments as
     /// [`closest_usable_finger`](Self::closest_usable_finger)).
     fn closest_preceding_usable(
         &self,
@@ -499,8 +527,13 @@ impl ChordProtocol {
     ) -> Option<Slot> {
         let at_id = self.id_of(at);
         let mut best: Option<(u64, Slot)> = None; // (distance to key, candidate)
+        let mut prev = at;
         let candidates = self.fingers_of(at).iter().chain(&self.node(at).successors);
         for &cand in candidates {
+            if cand == prev {
+                continue;
+            }
+            prev = cand;
             if cand == at {
                 continue;
             }
@@ -593,13 +626,14 @@ impl Simulation for ChordProtocol {
         event: MaintenanceEvent,
         sched: &mut Scheduler<MaintenanceEvent>,
     ) {
-        let (id, interval) = match event {
-            MaintenanceEvent::Stabilize(id) => (id, self.cfg.stabilize_interval),
-            MaintenanceEvent::FixFingers(id) => (id, self.cfg.fix_fingers_interval),
+        let (Participant { slot, id }, interval) = match event {
+            MaintenanceEvent::Stabilize(who) => (who, self.cfg.stabilize_interval),
+            MaintenanceEvent::FixFingers(who) => (who, self.cfg.fix_fingers_interval),
         };
-        let Some(slot) = self.slot(id).filter(|&s| self.node(s).alive) else {
+        let named = self.nodes.get(slot as usize);
+        if !named.is_some_and(|n| n.id == id && n.alive) {
             return;
-        };
+        }
         match event {
             MaintenanceEvent::Stabilize(_) => self.stabilize(slot),
             MaintenanceEvent::FixFingers(_) => self.fix_fingers(slot),

@@ -320,6 +320,32 @@ fn a_dead_node_drops_its_timers() {
 }
 
 #[test]
+fn timers_armed_by_another_protocol_are_dropped() {
+    let (_, mut foreign, a_ids) = converged_ring(10, 31, ProtocolConfig::default());
+    // B's slots 0–3 are also slots of A; only the ids tell them apart.
+    let b_ids = [1_000, 2_000, 3_000, 4_000];
+    assert!(b_ids.iter().all(|id| !a_ids.contains(id)));
+    let (mut b, _) = fresh_ring(&b_ids);
+    let lists = |p: &ChordProtocol| b_ids.map(|id| p.successor_list_of(id));
+    let before = (b.lookups_issued(), lists(&b), b.convergence_fraction());
+    let (queued, processed) = (foreign.pending() as u64, foreign.processed());
+    assert_eq!(queued, 2 * a_ids.len() as u64);
+
+    // Every timer fires within one interval; one re-armed by mistake
+    // would keep the queue busy past the deadline.
+    let deadline = foreign.now() + 1_000;
+    let (outcome, fired) = run_until(&mut b, &mut foreign, deadline);
+    assert_eq!((outcome, fired), (StepOutcome::Quiescent, queued));
+    assert_eq!(foreign.pending(), 0, "no foreign timer is re-armed");
+    assert_eq!(foreign.processed(), processed + queued);
+    assert_eq!(
+        (b.lookups_issued(), lists(&b), b.convergence_fraction()),
+        before,
+        "no foreign timer touches B"
+    );
+}
+
+#[test]
 fn successor_lists_never_exceed_the_configured_length() {
     let cfg = ProtocolConfig {
         successor_list_len: 3,
