@@ -65,8 +65,8 @@ SIMULATE FLAGS:
     --trace-out F        write the event trace as JSONL to file F
     --metrics-out F      write aggregated metrics as CSV to file F
                          (either flag switches to the traced runner,
-                         single-threaded unless --threads is given, so
-                         event order is reproducible by default)
+                         single-threaded unless --threads is given;
+                         events come in trial order at any --threads)
     --faults SPEC        deterministic benign-fault plane: a bare loss
                          rate (0.2) or key=value pairs, e.g.
                          loss=0.2,delay=0.1,delay-ticks=4,crash=0.01,
@@ -575,7 +575,7 @@ fn write_sinks(
 /// Parses the `--threads` flag: `Some(n)` when given explicitly,
 /// `None` when absent (callers pick the context-appropriate default —
 /// [`sos_sim::num_threads`] for untraced runs, one thread for traced
-/// runs so the recorded event order stays reproducible).
+/// runs so their float aggregates match an untraced serial `run`).
 fn threads_flag(args: &ParsedArgs) -> Result<Option<usize>, ArgError> {
     match args.get("threads") {
         None => Ok(None),
@@ -834,10 +834,10 @@ fn simulate(
             .retry(retry),
     );
     let result = if trace_out.is_some() || metrics_out.is_some() {
-        // Traced runs default to one thread so the recorded event order
-        // is reproducible run to run; an explicit --threads opts into
-        // the parallel traced runner (counts identical, event order in
-        // worker-completion order — the sinks sort by trial and tick).
+        // Traced runs default to one thread, whose float aggregates
+        // match an untraced serial run; an explicit --threads opts into
+        // the parallel traced runner (counts and events identical, in
+        // trial order; floats may move in the last ulps).
         let recorder = sos_observe::MemoryRecorder::new();
         let (result, metrics) = match threads {
             Some(t) if t > 1 => sim.run_parallel_traced(t, &recorder),
@@ -941,8 +941,9 @@ fn trace_cmd(
             .retry(retry),
     );
     let recorder = sos_observe::MemoryRecorder::new();
-    // One thread by default for a reproducible event stream; --threads
-    // opts into the work-stealing traced runner (counts identical).
+    // One thread by default, whose floats match an untraced serial
+    // run; --threads opts into the pooled traced runner (counts and
+    // events identical, in trial order).
     let (result, metrics) = match threads {
         Some(t) if t > 1 => sim.run_parallel_traced(t, &recorder),
         _ => sim.run_traced(&recorder),

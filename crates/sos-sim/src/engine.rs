@@ -22,12 +22,13 @@
 //! work instead of idling; seeding stays per-trial, so the result is
 //! bit-identical at any thread count.
 
+use crate::pool::{run_one_shot, JobOutput, Observe, RangeJob};
 use crate::route_batch::RouteBatchScratch;
 use crate::routing::{RouteIncident, RouteIncidentKind, RouteScratch, RoutingPolicy};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use sos_attack::{OneBurstAttacker, SuccessiveAttacker};
 use sos_core::{AttackConfig, PathEvaluator, Scenario};
 use sos_faults::{Fallback, FaultConfig, FaultPlan, HopIncident, RetryPolicy};
@@ -255,12 +256,12 @@ pub(crate) struct Partial {
     failure_depths: Vec<u64>,
 }
 
-/// Per-worker observability state for traced runs: the shared recorder
-/// plus a worker-local metrics registry (merged once at the end, so
-/// workers never contend on metric updates).
+/// Observability state for traced runs: where events go, plus a
+/// metrics registry owned by one run or one pool batch (so workers
+/// never contend on metric updates).
 pub(crate) struct Observation<'a> {
     recorder: &'a dyn Recorder,
-    metrics: MetricsRegistry,
+    pub(crate) metrics: MetricsRegistry,
 }
 
 /// Chord lookups sampled per trial in traced runs (drawn from the ring
@@ -268,7 +269,15 @@ pub(crate) struct Observation<'a> {
 /// is identical to an untraced run).
 const TRACED_LOOKUP_SAMPLES: usize = 8;
 
-impl Observation<'_> {
+impl<'a> Observation<'a> {
+    /// Observes into `recorder` with an empty metrics registry.
+    pub(crate) fn new(recorder: &'a dyn Recorder) -> Self {
+        Observation {
+            recorder,
+            metrics: MetricsRegistry::new(),
+        }
+    }
+
     /// Records `kind` at tick `*t` and advances the tick. The tick
     /// advances even when the recorder is disabled so metrics that
     /// measure phase durations in ticks stay recorder-independent.
@@ -341,8 +350,8 @@ fn tick_bounds() -> Vec<f64> {
 }
 
 /// Default worker count for parallel runs: the machine's available
-/// parallelism, clamped to 16 (beyond that the merge mutex and memory
-/// bandwidth dominate), falling back to 4 when it cannot be queried.
+/// parallelism, clamped to 16 (beyond that memory bandwidth
+/// dominates), falling back to 4 when it cannot be queried.
 ///
 /// Shared by the CLI (`--threads` default) and [`compare_models`]
 /// (which has no thread knob of its own).
@@ -562,20 +571,6 @@ impl TrialQueue {
 }
 
 impl Partial {
-    /// Folds `(batch_start, partial)` pairs into one partial in trial
-    /// order. Completion order is racy; start order is not — merging by
-    /// it makes the floating-point reduction tree a pure function of
-    /// the batch boundaries, which [`TrialQueue::new`] keeps
-    /// thread-count-independent.
-    pub(crate) fn merged_in_order(mut batches: Vec<(u64, Partial)>) -> Partial {
-        batches.sort_unstable_by_key(|(start, _)| *start);
-        let mut merged = Partial::default();
-        for (_, partial) in &batches {
-            merged.merge(partial);
-        }
-        merged
-    }
-
     pub(crate) fn merge(&mut self, other: &Partial) {
         self.successes += other.successes;
         self.attempts += other.attempts;
@@ -622,24 +617,21 @@ impl Simulation {
     /// it never draws from them.
     pub fn run_traced(&self, recorder: &dyn Recorder) -> (SimulationResult, MetricsRegistry) {
         telemetry::add_expected_trials(self.config.trials);
-        let mut obs = Observation {
-            recorder,
-            metrics: MetricsRegistry::new(),
-        };
+        let mut obs = Observation::new(recorder);
         let mut scratch = TrialScratch::new();
         let partial = self.run_trials(0, self.config.trials, &mut scratch, Some(&mut obs));
         (self.finish(partial), obs.metrics)
     }
 
     /// [`run_traced`](Self::run_traced) fanned out over `threads`
-    /// workers pulling trial batches from a shared work-stealing queue.
-    /// Result aggregates merge in trial order (see
-    /// [`run_parallel`](Self::run_parallel)); each worker additionally
-    /// aggregates into a private metrics registry, merged once at the
-    /// end (counts exact, float sums associative up to merge order).
-    /// Events from different trials interleave in `recorder` in
-    /// worker-completion order — sort by `(trial, t)` (as the
-    /// JSONL/timeline sinks do) to reconstruct per-trial order.
+    /// workers, as in [`run_parallel`](Self::run_parallel). Each trial
+    /// batch aggregates into its own metrics registry and, while
+    /// `recorder` is enabled, buffers its events; batches fold in trial
+    /// order, so the metrics are identical at every thread count and
+    /// the events reach `recorder` in trial order, exactly as
+    /// `run_traced` emits them. Counters and histogram counts equal
+    /// `run_traced`'s; histogram sums may differ from it in the last
+    /// ulps, as the result's float aggregates do.
     ///
     /// # Panics
     ///
@@ -649,42 +641,22 @@ impl Simulation {
         threads: usize,
         recorder: &dyn Recorder,
     ) -> (SimulationResult, MetricsRegistry) {
-        assert!(threads > 0, "need at least one thread");
-        telemetry::add_expected_trials(self.config.trials);
-        let queue = TrialQueue::new(self.config.trials);
-        let merged = Mutex::new((Vec::new(), MetricsRegistry::new()));
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..threads {
-                let queue = &queue;
-                let merged = &merged;
-                scope.spawn(move |_| {
-                    let mut obs = Observation {
-                        recorder,
-                        metrics: MetricsRegistry::new(),
-                    };
-                    let mut scratch = TrialScratch::new();
-                    while let Some((start, end)) = queue.next_batch() {
-                        if let Some(slot) = telemetry::slot() {
-                            slot.add_batch();
-                        }
-                        let mut partial = Partial::default();
-                        for trial in start..end {
-                            self.run_one_trial(trial, &mut partial, &mut scratch, Some(&mut obs));
-                        }
-                        merged.lock().0.push((start, partial));
-                    }
-                    merged.lock().1.merge(&obs.metrics);
-                });
-            }
-        })
-        .expect("simulation worker panicked");
-        let (batches, metrics) = merged.into_inner();
-        (self.finish(Partial::merged_in_order(batches)), metrics)
+        let observe = if recorder.enabled() {
+            Observe::Events
+        } else {
+            Observe::Metrics
+        };
+        let output = self.run_on_pool(threads, observe);
+        for event in output.events {
+            recorder.record(event);
+        }
+        (self.finish(output.partial), output.metrics)
     }
 
-    /// Runs trials fanned out over `threads` worker threads pulling
-    /// batches from a shared work-stealing queue (no worker idles while
-    /// trials remain). Every trial is seeded independently of which
+    /// Runs trials on `threads` workers that live for this call, the
+    /// calling thread among them, pulling batches from the worker
+    /// pool's work-stealing queue (no worker idles while trials
+    /// remain); one thread spawns nothing. Every trial is seeded independently of which
     /// worker runs it, and batch partials are merged in trial order
     /// over thread-count-independent batch boundaries — so the result
     /// (floats included) is byte-identical at every thread count.
@@ -696,31 +668,19 @@ impl Simulation {
     ///
     /// Panics if `threads == 0`.
     pub fn run_parallel(&self, threads: usize) -> SimulationResult {
-        assert!(threads > 0, "need at least one thread");
-        telemetry::add_expected_trials(self.config.trials);
-        let queue = TrialQueue::new(self.config.trials);
-        let merged = Mutex::new(Vec::new());
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..threads {
-                let queue = &queue;
-                let merged = &merged;
-                scope.spawn(move |_| {
-                    let mut scratch = TrialScratch::new();
-                    while let Some((start, end)) = queue.next_batch() {
-                        if let Some(slot) = telemetry::slot() {
-                            slot.add_batch();
-                        }
-                        let mut partial = Partial::default();
-                        for trial in start..end {
-                            self.run_one_trial(trial, &mut partial, &mut scratch, None);
-                        }
-                        merged.lock().push((start, partial));
-                    }
-                });
-            }
-        })
-        .expect("simulation worker panicked");
-        self.finish(Partial::merged_in_order(merged.into_inner()))
+        self.finish(self.run_on_pool(threads, Observe::Off).partial)
+    }
+
+    /// Runs every trial as one job on `threads` one-shot workers.
+    fn run_on_pool(&self, threads: usize, observe: Observe) -> JobOutput {
+        let job = RangeJob {
+            sim: Arc::new(self.clone()),
+            start: 0,
+            end: self.config.trials,
+            point: false,
+            observe,
+        };
+        run_one_shot(threads, job)
     }
 
     /// Runs batches of trials until the 95% Wilson interval on the
@@ -753,7 +713,7 @@ impl Simulation {
         );
         assert!(max_trials > 0, "need at least one trial");
         let batch = self.config.trials.max(1);
-        let sim = std::sync::Arc::new(self.clone());
+        let sim = Arc::new(self.clone());
         // Hold the pool for the whole adaptive loop: batches are
         // data-dependent (each stopping decision needs the previous
         // counts), so interleaving another caller's jobs between
@@ -765,13 +725,14 @@ impl Simulation {
         let mut done = 0u64;
         loop {
             let next = (done + batch).min(max_trials);
-            let (mut batch_partials, _) = pool.run(vec![crate::pool::RangeJob {
+            let (mut outputs, _) = pool.run(vec![RangeJob {
                 sim: sim.clone(),
                 start: done,
                 end: next,
                 point: false,
+                observe: Observe::Off,
             }]);
-            partial.merge(&batch_partials.remove(0));
+            partial.merge(&outputs.remove(0).partial);
             done = next;
             let ci = sos_math::stats::proportion_ci(
                 partial.successes,
@@ -784,7 +745,7 @@ impl Simulation {
         }
     }
 
-    fn run_trials(
+    pub(crate) fn run_trials(
         &self,
         start: u64,
         end: u64,
@@ -798,7 +759,7 @@ impl Simulation {
         partial
     }
 
-    pub(crate) fn run_one_trial(
+    fn run_one_trial(
         &self,
         trial: u64,
         partial: &mut Partial,

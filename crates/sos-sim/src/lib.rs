@@ -11,13 +11,15 @@
 //! 4. repeat over many attack instances and seeds, aggregate with
 //!    confidence intervals ([`engine`]).
 //!
-//! The [`engine::Simulation`] runner is deterministic for a fixed seed
-//! and can fan trials out over threads; its
-//! [`run_traced`](engine::Simulation::run_traced) variant additionally
-//! streams every instrumented decision point to a
-//! [`sos_observe::Recorder`] and aggregates per-trial metrics. Multi-point
+//! The [`engine::Simulation`] runner is deterministic for a fixed seed;
+//! its [`run_traced`](engine::Simulation::run_traced) variant
+//! additionally streams every instrumented decision point to a
+//! [`sos_observe::Recorder`] and aggregates per-trial metrics. Every
+//! parallel run executes through the worker pool's batch loop:
+//! `run_parallel` and `run_parallel_traced` on workers spawned for the
+//! call, everything else on a persistent process-wide pool. Multi-point
 //! experiments (figure families, ablations, parameter sweeps) go through
-//! the [`sweep`] executor — a persistent worker pool with interleaved
+//! the [`sweep`] executor — the persistent pool with interleaved
 //! trial scheduling plus a content-addressed result cache
 //! ([`run_sweep`], [`set_global_cache`]) — instead of one
 //! `run_parallel` call per point; [`pool_map`] runs independent indexed

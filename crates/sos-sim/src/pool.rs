@@ -1,21 +1,27 @@
-//! Persistent worker pool for trial execution and indexed jobs.
+//! The worker pool: the one executor of trial batches and indexed jobs.
 //!
-//! [`Simulation::run_parallel`] spins up a fresh `crossbeam` scope —
-//! and fresh per-worker [`TrialScratch`] state — for every call. That
-//! is fine for one big simulation, but a *sweep* (dozens to hundreds of
-//! small `SimulationConfig` points, the shape behind every figure
-//! family) pays the spawn/join and scratch-construction cost once per
-//! point. This module keeps one long-lived pool per process instead:
+//! Every parallel trial run claims batches from these queues and folds
+//! them in trial order. The process-wide [`WorkerPool`]
+//! ([`global_pool`]) serves the sweep executor,
+//! [`Simulation::run_until_precision`] and [`pool_map`]; a *sweep*
+//! (dozens to hundreds of small `SimulationConfig` points, the shape
+//! behind every figure family) would otherwise pay thread spawn/join and
+//! scratch construction once per point. [`Simulation::run_parallel`]
+//! and [`Simulation::run_parallel_traced`] run their single job through
+//! [`run_one_shot`] instead, on workers that live for the call.
 //!
-//! * workers are spawned once and live for the process; each owns a
-//!   [`TrialScratch`] that is rebuilt in place across *scenarios*, not
-//!   just across trials of one scenario;
+//! * the global pool's workers are spawned once and live for the
+//!   process; each owns a [`TrialScratch`] that is rebuilt in place
+//!   across *scenarios*, not just across trials of one scenario;
 //! * a trial run is a list of [`RangeJob`]s (one per sweep point);
 //!   workers pull trial batches through a two-level discipline — scan
 //!   jobs from a shared head cursor, claim the next batch from the first
 //!   job that still has unclaimed trials — so batches from neighboring
 //!   sweep points interleave and a small tail point never leaves
 //!   workers idle;
+//! * an observed job ([`Observe`]) gives each batch its own metrics
+//!   registry and event buffer, returned beside the batch's [`Partial`];
+//!   no borrowed recorder ever reaches a worker;
 //! * a map run ([`pool_map`]) is `n` independent indexed jobs `f(i)`,
 //!   claimed one index at a time in index order, with results returned
 //!   in index order: the shape of the report's DES and protocol
@@ -34,19 +40,21 @@
 //!
 //! Determinism: the pool decides only *who* runs a trial or a job,
 //! never *what* it is. Per-trial seeding makes every integer count
-//! bit-identical to [`Simulation::run`], and batch partials are merged
-//! in trial order over thread-count-independent batch boundaries (the
-//! same contract as `run_parallel`), so a job's result — floats
-//! included — is byte-identical at every thread count. The merge stays
-//! per-job: each [`RangeJob`] collects its own batch [`Partial`]s, so
-//! sweep points never mix. Map results come back in index order, so a
-//! caller that folds them in that order reproduces its serial loop bit
-//! for bit.
+//! bit-identical to [`Simulation::run`], and batch outputs are merged
+//! in trial order over thread-count-independent batch boundaries, so a
+//! job's result — floats, metrics and event order included — is
+//! byte-identical at every thread count. The merge stays per-job: each
+//! [`RangeJob`] collects its own batch outputs, so sweep points never
+//! mix. Map results come back in index order, so a caller that folds
+//! them in that order reproduces its serial loop bit for bit.
 //!
 //! [`Simulation::run_parallel`]: crate::engine::Simulation::run_parallel
+//! [`Simulation::run_parallel_traced`]: crate::engine::Simulation::run_parallel_traced
 
-use crate::engine::{num_threads, Partial, Simulation, TrialQueue, TrialScratch};
-use sos_observe::{telemetry, trace};
+use crate::engine::{num_threads, Observation, Partial, Simulation, TrialQueue, TrialScratch};
+use sos_observe::{
+    telemetry, trace, Event, MemoryRecorder, MetricsRegistry, NullRecorder, Recorder,
+};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -65,6 +73,71 @@ pub(crate) struct RangeJob {
     /// live telemetry plane (true for sweep-executor jobs, false for
     /// the batch jobs of `run_until_precision`).
     pub point: bool,
+    /// What the job records besides its trial counts.
+    pub observe: Observe,
+}
+
+/// What a [`RangeJob`] records besides its trial counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Observe {
+    /// Nothing: an untraced run.
+    Off,
+    /// Per-trial metrics only: a traced run whose recorder is disabled
+    /// (disabled recorders also change how the engine ticks attacks).
+    Metrics,
+    /// Per-trial metrics and every event.
+    Events,
+}
+
+/// The output of one job, or of one batch of it.
+#[derive(Default)]
+pub(crate) struct JobOutput {
+    pub partial: Partial,
+    /// Per-trial metrics; empty unless the job observes.
+    pub metrics: MetricsRegistry,
+    /// Events in trial order; empty unless the job observes
+    /// [`Observe::Events`].
+    pub events: Vec<Event>,
+}
+
+impl JobOutput {
+    /// Runs trials `start..end` of `sim` as one batch.
+    fn batch(
+        sim: &Simulation,
+        start: u64,
+        end: u64,
+        observe: Observe,
+        scratch: &mut TrialScratch,
+    ) -> Self {
+        let events = MemoryRecorder::new();
+        let recorder: &dyn Recorder = if observe == Observe::Events {
+            &events
+        } else {
+            &NullRecorder
+        };
+        let mut obs = (observe != Observe::Off).then(|| Observation::new(recorder));
+        JobOutput {
+            partial: sim.run_trials(start, end, scratch, obs.as_mut()),
+            metrics: obs.map(|o| o.metrics).unwrap_or_default(),
+            events: events.take_events(),
+        }
+    }
+
+    /// Folds `(batch_start, output)` pairs into one output in trial
+    /// order. Completion order is racy; start order is not — merging by
+    /// it makes the floating-point reduction tree a pure function of
+    /// the batch boundaries, which [`TrialQueue::new`] keeps
+    /// thread-count-independent, and concatenates events in trial order.
+    fn merged_in_order(mut batches: Vec<(u64, JobOutput)>) -> Self {
+        batches.sort_unstable_by_key(|(start, _)| *start);
+        let mut merged = JobOutput::default();
+        for (_, batch) in batches {
+            merged.partial.merge(&batch.partial);
+            merged.metrics.merge(&batch.metrics);
+            merged.events.extend(batch.events);
+        }
+        merged
+    }
 }
 
 /// Per-job execution state: the job's own work-stealing queue (over the
@@ -74,9 +147,10 @@ struct JobSlot {
     sim: Arc<Simulation>,
     base: u64,
     queue: TrialQueue,
-    /// `(batch_start, partial)` per executed batch, pushed in racy
+    observe: Observe,
+    /// `(batch_start, output)` per executed batch, pushed in racy
     /// completion order and merged in start order at collection time.
-    partial: Mutex<Vec<(u64, Partial)>>,
+    batches: Mutex<Vec<(u64, JobOutput)>>,
     /// Trials of this job not yet merged; hits zero exactly once, when
     /// the job completes (telemetry's per-point progress tick).
     remaining: AtomicU64,
@@ -132,6 +206,17 @@ struct RunState {
 }
 
 impl RunState {
+    fn new(work: Work, units: u64) -> Arc<Self> {
+        Arc::new(RunState {
+            work,
+            done: Mutex::new(RunDone {
+                remaining: units,
+                poisoned: false,
+            }),
+            done_cv: Condvar::new(),
+        })
+    }
+
     /// Records `units` completed units, waking the caller on the last.
     fn complete(&self, units: u64) {
         let mut done = lock_ignore_poison(&self.done);
@@ -227,8 +312,8 @@ impl WorkerPool {
         }
     }
 
-    /// Executes every job and returns `(partials, batches)`: one merged
-    /// [`Partial`] per job, in job order, plus the number of trial
+    /// Executes every job and returns `(outputs, batches)`: one merged
+    /// [`JobOutput`] per job, in job order, plus the number of trial
     /// batches executed (for queue metrics). Blocks until all trials
     /// are merged; the calling thread works the queues alongside the
     /// background workers.
@@ -237,53 +322,8 @@ impl WorkerPool {
     ///
     /// Panics if any `RangeJob` has an empty range, or if a worker
     /// thread panicked while executing a trial.
-    pub(crate) fn run(&mut self, jobs: Vec<RangeJob>) -> (Vec<Partial>, u64) {
-        if jobs.is_empty() {
-            return (Vec::new(), 0);
-        }
-        let mut total = 0u64;
-        let slots: Vec<JobSlot> = jobs
-            .into_iter()
-            .map(|job| {
-                assert!(job.end > job.start, "empty trial range");
-                let len = job.end - job.start;
-                total += len;
-                JobSlot {
-                    queue: TrialQueue::new(len),
-                    base: job.start,
-                    sim: job.sim,
-                    partial: Mutex::new(Vec::new()),
-                    remaining: AtomicU64::new(len),
-                    trials: len,
-                    point: job.point,
-                }
-            })
-            .collect();
-        telemetry::add_expected_trials(total);
-        let run = self.execute(
-            Work::Trials(TrialWork {
-                jobs: slots,
-                head: AtomicUsize::new(0),
-                batches: AtomicU64::new(0),
-                trace_started: trace::enabled().then(Instant::now),
-            }),
-            total,
-        );
-        let Work::Trials(trials) = &run.work else {
-            unreachable!("a trial run holds trial work");
-        };
-        // All trials merged and no queue has unclaimed batches, so no
-        // worker will touch a partial again — taking them is safe even
-        // if a straggler still holds the Arc while scanning.
-        let partials = trials
-            .jobs
-            .iter()
-            .map(|slot| {
-                let batches = std::mem::take(&mut *lock_ignore_poison(&slot.partial));
-                Partial::merged_in_order(batches)
-            })
-            .collect();
-        (partials, trials.batches.load(Ordering::Relaxed))
+    pub(crate) fn run(&mut self, jobs: Vec<RangeJob>) -> (Vec<JobOutput>, u64) {
+        run_trial_jobs(jobs, |work, units| self.execute(work, units))
     }
 
     /// Runs `f(i)` for every `i` in `0..n` across the pool and returns
@@ -328,14 +368,7 @@ impl WorkerPool {
     /// workers, drains it on the calling thread too, and blocks until
     /// every unit has completed.
     fn execute(&mut self, work: Work, units: u64) -> Arc<RunState> {
-        let run = Arc::new(RunState {
-            work,
-            done: Mutex::new(RunDone {
-                remaining: units,
-                poisoned: false,
-            }),
-            done_cv: Condvar::new(),
-        });
+        let run = RunState::new(work, units);
 
         if !self.workers.is_empty() {
             let mut state = lock_ignore_poison(&self.shared.lock);
@@ -373,6 +406,91 @@ impl Drop for WorkerPool {
             let _ = handle.join();
         }
     }
+}
+
+/// Builds the trial work of `jobs`, runs it through `execute` and
+/// returns one merged [`JobOutput`] per job, in job order, plus the
+/// number of trial batches executed.
+///
+/// # Panics
+///
+/// Panics if any `RangeJob` has an empty range.
+fn run_trial_jobs(
+    jobs: Vec<RangeJob>,
+    execute: impl FnOnce(Work, u64) -> Arc<RunState>,
+) -> (Vec<JobOutput>, u64) {
+    if jobs.is_empty() {
+        return (Vec::new(), 0);
+    }
+    let mut total = 0u64;
+    let slots: Vec<JobSlot> = jobs
+        .into_iter()
+        .map(|job| {
+            assert!(job.end > job.start, "empty trial range");
+            let len = job.end - job.start;
+            total += len;
+            JobSlot {
+                queue: TrialQueue::new(len),
+                base: job.start,
+                sim: job.sim,
+                observe: job.observe,
+                batches: Mutex::new(Vec::new()),
+                remaining: AtomicU64::new(len),
+                trials: len,
+                point: job.point,
+            }
+        })
+        .collect();
+    telemetry::add_expected_trials(total);
+    let run = execute(
+        Work::Trials(TrialWork {
+            jobs: slots,
+            head: AtomicUsize::new(0),
+            batches: AtomicU64::new(0),
+            trace_started: trace::enabled().then(Instant::now),
+        }),
+        total,
+    );
+    let Work::Trials(trials) = &run.work else {
+        unreachable!("a trial run holds trial work");
+    };
+    // All trials merged and no queue has unclaimed batches, so no
+    // worker will touch an output again — taking them is safe even
+    // if a straggler still holds the Arc while scanning.
+    let outputs = trials
+        .jobs
+        .iter()
+        .map(|slot| {
+            let batches = std::mem::take(&mut *lock_ignore_poison(&slot.batches));
+            JobOutput::merged_in_order(batches)
+        })
+        .collect();
+    (outputs, trials.batches.load(Ordering::Relaxed))
+}
+
+/// Runs `job` on `threads` workers that exist for this call alone: the
+/// caller plus `threads - 1` scoped threads spawned once the work is
+/// published, each leaving when the queue is drained, so a run costs
+/// no wake-up handoff. Every worker keeps the one-slot
+/// [`TrialScratch::new`]: a run of one config never repeats a trial
+/// index, so memo slots could not hit. One thread spawns nothing.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`, or if a trial panics.
+pub(crate) fn run_one_shot(threads: usize, job: RangeJob) -> JobOutput {
+    assert!(threads > 0, "need at least one thread");
+    let (mut outputs, _) = run_trial_jobs(vec![job], |work, units| {
+        let run = RunState::new(work, units);
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(|| drain(&run, &mut TrialScratch::new()));
+            }
+            drain(&run, &mut TrialScratch::new());
+        });
+        run
+    });
+    outputs.pop().expect("one output per job")
 }
 
 /// Marks the run poisoned if the worker unwinds mid-drain, so the
@@ -435,16 +553,18 @@ fn drain_trials(run: &RunState, work: &TrialWork, scratch: &mut TrialScratch) {
             t.add_batch();
         }
         let mut batch_span = trace::start("pool-batch", trace::CAT_POOL);
-        let mut partial = Partial::default();
-        for trial in start..end {
-            slot.sim
-                .run_one_trial(slot.base + trial, &mut partial, scratch, None);
-        }
+        let output = JobOutput::batch(
+            &slot.sim,
+            slot.base + start,
+            slot.base + end,
+            slot.observe,
+            scratch,
+        );
         if let Some(span) = batch_span.as_mut() {
             span.arg("trials", end - start);
         }
         drop(batch_span); // record the batch claim's span now
-        lock_ignore_poison(&slot.partial).push((start, partial));
+        lock_ignore_poison(&slot.batches).push((start, output));
         work.batches.fetch_add(1, Ordering::Relaxed);
         // The last batch of a job completes a sweep point.
         let batch_len = end - start;
@@ -571,35 +691,37 @@ mod tests {
         ))
     }
 
+    /// `run_parallel` runs one job on one-shot workers; a multi-job
+    /// persistent pool must reproduce its results byte for byte.
     #[test]
     fn pool_matches_run_parallel_at_any_thread_count() {
         let sims: Vec<Arc<Simulation>> = (0..5).map(|s| sim(s, 12)).collect();
-        let reference: Vec<_> = sims
-            .iter()
-            .map(|s| s.run_parallel(2))
-            .collect();
+        let json =
+            |result: &crate::engine::SimulationResult| serde_json::to_string(result).unwrap();
+        let reference: Vec<String> = sims.iter().map(|s| json(&s.run_parallel(2))).collect();
         for threads in [1, 2, 4, 8] {
             let mut pool = WorkerPool::new(threads);
-            let jobs = sims
-                .iter()
-                .map(|s| RangeJob {
-                    sim: s.clone(),
-                    start: 0,
-                    end: 12,
-                    point: true,
-                })
-                .collect();
-            let (partials, batches) = pool.run(jobs);
+            let jobs = sims.iter().map(|s| range_job(s, 0, 12, true)).collect();
+            let (outputs, batches) = pool.run(jobs);
             assert!(batches > 0);
-            for ((partial, s), reference) in
-                partials.into_iter().zip(&sims).zip(&reference)
-            {
-                let result = s.finish(partial);
-                assert_eq!(result.successes, reference.successes, "{threads} threads");
-                assert_eq!(result.attempts, reference.attempts);
-                assert_eq!(result.failure_depths, reference.failure_depths);
-                assert!((result.per_trial.mean - reference.per_trial.mean).abs() < 1e-12);
+            for ((output, s), reference) in outputs.into_iter().zip(&sims).zip(&reference) {
+                assert_eq!(
+                    &json(&s.finish(output.partial)),
+                    reference,
+                    "{threads} threads"
+                );
             }
+        }
+    }
+
+    /// An untraced job over trials `start..end` of `sim`.
+    fn range_job(sim: &Arc<Simulation>, start: u64, end: u64, point: bool) -> RangeJob {
+        RangeJob {
+            sim: sim.clone(),
+            start,
+            end,
+            point,
+            observe: Observe::Off,
         }
     }
 
@@ -607,10 +729,10 @@ mod tests {
     fn pool_is_reusable_across_runs() {
         let mut pool = WorkerPool::new(2);
         let s = sim(9, 8);
-        let (first, _) = pool.run(vec![RangeJob { sim: s.clone(), start: 0, end: 8, point: true }]);
-        let (second, _) = pool.run(vec![RangeJob { sim: s.clone(), start: 0, end: 8, point: true }]);
-        let a = s.finish(first.into_iter().next().unwrap());
-        let b = s.finish(second.into_iter().next().unwrap());
+        let (first, _) = pool.run(vec![range_job(&s, 0, 8, true)]);
+        let (second, _) = pool.run(vec![range_job(&s, 0, 8, true)]);
+        let a = s.finish(first.into_iter().next().unwrap().partial);
+        let b = s.finish(second.into_iter().next().unwrap().partial);
         assert_eq!(a.successes, b.successes);
         assert_eq!(a.attempts, b.attempts);
     }
@@ -623,12 +745,12 @@ mod tests {
         let whole = s.run_parallel(1);
         let mut pool = WorkerPool::new(3);
         let (parts, _) = pool.run(vec![
-            RangeJob { sim: s.clone(), start: 0, end: 10, point: false },
-            RangeJob { sim: s.clone(), start: 10, end: 30, point: false },
+            range_job(&s, 0, 10, false),
+            range_job(&s, 10, 30, false),
         ]);
         let mut merged = Partial::default();
         for part in &parts {
-            merged.merge(part);
+            merged.merge(&part.partial);
         }
         let result = s.finish(merged);
         assert_eq!(result.successes, whole.successes);
@@ -651,13 +773,8 @@ mod tests {
             let mut pool = WorkerPool::new(threads);
             assert_eq!(pool.map(10, job), serial, "{threads} threads");
             // The same pool still runs trial batches afterwards.
-            let (partials, _) = pool.run(vec![RangeJob {
-                sim: sim(1, 4),
-                start: 0,
-                end: 4,
-                point: false,
-            }]);
-            assert_eq!(partials.len(), 1);
+            let (outputs, _) = pool.run(vec![range_job(&sim(1, 4), 0, 4, false)]);
+            assert_eq!(outputs.len(), 1);
         }
     }
 
@@ -722,13 +839,8 @@ mod tests {
             Some(&"pool worker panicked")
         );
         assert_eq!(pool.map(6, |i| i + 1), vec![1, 2, 3, 4, 5, 6]);
-        let (partials, _) = pool.run(vec![RangeJob {
-            sim: sim(2, 4),
-            start: 0,
-            end: 4,
-            point: false,
-        }]);
-        assert_eq!(partials.len(), 1);
+        let (outputs, _) = pool.run(vec![range_job(&sim(2, 4), 0, 4, false)]);
+        assert_eq!(outputs.len(), 1);
     }
 
     #[test]
@@ -755,8 +867,8 @@ mod tests {
     #[test]
     fn empty_job_list_is_a_no_op() {
         let mut pool = WorkerPool::new(2);
-        let (partials, batches) = pool.run(Vec::new());
-        assert!(partials.is_empty());
+        let (outputs, batches) = pool.run(Vec::new());
+        assert!(outputs.is_empty());
         assert_eq!(batches, 0);
     }
 }

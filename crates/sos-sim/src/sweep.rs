@@ -51,7 +51,7 @@
 //! [`Simulation::run_parallel`]: crate::engine::Simulation::run_parallel
 
 use crate::engine::{Simulation, SimulationConfig, SimulationResult};
-use crate::pool::{global_pool, RangeJob, WorkerPool};
+use crate::pool::{global_pool, Observe, RangeJob, WorkerPool};
 use sos_observe::{telemetry, trace};
 use sos_observe::{Event, EventKind, MetricsRegistry, Recorder};
 use std::collections::HashMap;
@@ -628,9 +628,10 @@ impl SweepExecutor {
                     start: 0,
                     end: sim.config().trials,
                     point: true,
+                    observe: Observe::Off,
                 })
                 .collect();
-            let (partials, batches) = match &mut self.pool {
+            let (outputs, batches) = match &mut self.pool {
                 PoolHandle::Owned(pool) => pool.run(jobs),
                 PoolHandle::Global => global_pool()
                     .lock()
@@ -639,8 +640,8 @@ impl SweepExecutor {
             };
             self.stats.pool_batches += batches;
             let mut fresh: Vec<(u64, SimulationResult)> = Vec::with_capacity(planned.len());
-            for ((fp, sim), partial) in planned.iter().zip(&sims).zip(partials) {
-                let result = sim.finish(partial);
+            for ((fp, sim), output) in planned.iter().zip(&sims).zip(outputs) {
+                let result = sim.finish(output.partial);
                 self.memory.insert(*fp, result.clone());
                 fresh.push((*fp, result));
             }

@@ -72,3 +72,50 @@ fn multi_chunk_runs_are_pinned() {
         "digest moved: {got:#x} for {json}"
     );
 }
+
+/// One line of result JSON per config.
+fn results_json(run: impl Fn(Simulation) -> String) -> String {
+    configs()
+        .into_iter()
+        .map(|cfg| run(Simulation::new(cfg)) + "\n")
+        .collect()
+}
+
+/// `run_parallel` folds batch partials in trial order over batch
+/// boundaries that do not depend on the thread count, so 1, 2 and 4
+/// threads share one digest.
+#[test]
+fn parallel_runs_are_pinned() {
+    for threads in [1, 2, 4] {
+        let json = results_json(|sim| serde_json::to_string(&sim.run_parallel(threads)).unwrap());
+        let got = fnv(json.as_bytes());
+        assert_eq!(
+            got, 0x5b4f_9294_7f97_17df,
+            "digest moved at {threads} threads: {got:#x} for {json}"
+        );
+    }
+}
+
+/// The integer rows of a metrics CSV: counters, histogram counts and
+/// bucket counts. Histogram sums and means are float folds and are
+/// left out.
+fn integer_metrics(csv: &str) -> String {
+    csv.lines()
+        .filter(|row| !row.contains(",histogram,sum,") && !row.contains(",histogram,mean,"))
+        .map(|row| format!("{row}\n"))
+        .collect()
+}
+
+/// A traced parallel run's result and integer metrics.
+#[test]
+fn parallel_traced_runs_are_pinned() {
+    let json = results_json(|sim| {
+        let (result, metrics) = sim.run_parallel_traced(3, &sos_observe::NullRecorder);
+        serde_json::to_string(&result).unwrap() + "\n" + &integer_metrics(&metrics.to_csv())
+    });
+    let got = fnv(json.as_bytes());
+    assert_eq!(
+        got, 0x0ad0_37f8_02e5_5175,
+        "digest moved: {got:#x} for {json}"
+    );
+}
