@@ -1,6 +1,6 @@
 //! Criterion benches for the deeper substrates: the exact congestion
-//! analysis, the design optimizer, the Chord maintenance protocol, and
-//! the flow model.
+//! analysis, the design optimizer, the Chord maintenance protocol, the
+//! flow model, and the index sampler.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -12,6 +12,7 @@ use sos_core::{
     AttackBudget, AttackConfig, MappingDegree, Scenario, SuccessiveParams, SystemParams,
 };
 use sos_des::Scheduler;
+use sos_math::sampling::IndexSampler;
 use sos_overlay::protocol::{run_maintenance, ChordProtocol, ProtocolConfig};
 use sos_overlay::NodeId;
 use sos_sim::{FlowModel, FlowSimulation};
@@ -180,11 +181,32 @@ fn bench_flow_model(c: &mut Criterion) {
     group.finish();
 }
 
+/// One reused `IndexSampler` draw per iteration, `(n, k)` shaped like
+/// its callers: a one-to-5 entry sample and a one-to-all neighbour
+/// table over a ~33-node layer, and the SOS membership draw at
+/// N = 10,000.
+fn bench_sampling(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sampling");
+    for (n, k) in [(33usize, 5usize), (33, 33), (10_000, 100)] {
+        group.bench_function(BenchmarkId::new("draw", format!("{n}-choose-{k}")), |b| {
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut sampler = IndexSampler::new();
+            let mut out = Vec::with_capacity(k);
+            b.iter(|| {
+                sampler.sample_indices_into(&mut rng, black_box(n), black_box(k), &mut out);
+                black_box(out[0])
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_exact_analysis,
     bench_optimizer,
     bench_chord_protocol,
-    bench_flow_model
+    bench_flow_model,
+    bench_sampling
 );
 criterion_main!(benches);

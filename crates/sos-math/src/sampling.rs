@@ -7,7 +7,11 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Draws `k` distinct indices uniformly from `0..n` using a partial
-/// Fisher–Yates shuffle (O(k) extra space via a sparse swap map).
+/// Fisher–Yates shuffle: pick `i` is position `i` after swapping it with
+/// `gen_range(i..n)`.
+///
+/// Shuffles a fresh `0..n` array, so a call allocates O(n); hot loops
+/// reuse one [`IndexSampler`] instead.
 ///
 /// # Panics
 ///
@@ -26,32 +30,22 @@ use rand::Rng;
 /// assert_eq!(sorted.len(), 5); // all distinct
 /// ```
 pub fn sample_indices<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
-    assert!(k <= n, "cannot sample {k} distinct items from {n}");
-    use std::collections::HashMap;
-    let mut swaps: HashMap<usize, usize> = HashMap::with_capacity(k * 2);
-    let mut out = Vec::with_capacity(k);
-    for i in 0..k {
-        let j = rng.gen_range(i..n);
-        let vi = *swaps.get(&i).unwrap_or(&i);
-        let vj = *swaps.get(&j).unwrap_or(&j);
-        out.push(vj);
-        swaps.insert(j, vi);
-        swaps.insert(i, vj);
-    }
+    let mut out = Vec::new();
+    IndexSampler::new().sample_indices_into(rng, n, k, &mut out);
     out
 }
 
 /// Draws `k` distinct elements from `items` without replacement, cloning
-/// the chosen elements.
+/// the chosen elements. Same picks as [`sample_indices`] over
+/// `items.len()`.
 ///
 /// # Panics
 ///
 /// Panics if `k > items.len()`.
 pub fn sample_from<R: Rng + ?Sized, T: Clone>(rng: &mut R, items: &[T], k: usize) -> Vec<T> {
-    sample_indices(rng, items.len(), k)
-        .into_iter()
-        .map(|i| items[i].clone())
-        .collect()
+    let mut out = Vec::new();
+    IndexSampler::new().sample_from_into(rng, items, k, &mut out);
+    out
 }
 
 /// Splits `total` items into integer bucket sizes proportional to `weights`
@@ -181,31 +175,20 @@ pub const fn stream_seed(seed: u64, stream: u64, index: u64) -> u64 {
     splitmix64(splitmix64(seed ^ splitmix64(stream)).wrapping_add(splitmix64(index)))
 }
 
-/// Draw counts at or below this use the linear-probe swap list instead
-/// of the hash map: at most `2k` live entries means a handful of
-/// word-sized comparisons beat hashing by a wide margin for the
-/// entry-sampling draws (`k` ≈ the first-layer mapping degree) that
-/// dominate the route kernel.
-const LINEAR_SWAP_MAX: usize = 64;
-
-/// Allocation-reusing counterpart to [`sample_indices`] / [`sample_from`].
+/// Allocation-reusing counterpart to [`sample_indices`] / [`sample_from`]:
+/// the same picks and the same RNG calls, with no heap allocation once
+/// warm. Hot loops (overlay builds, the route kernels' entry samples)
+/// hold one sampler each.
 ///
-/// Draws the same partial Fisher–Yates sequence as the free functions —
-/// byte-for-byte identical RNG consumption — but keeps the sparse swap
-/// state alive between calls so steady-state sampling performs no heap
-/// allocation. Hot loops (the zero-rebuild trial engine) hold one sampler
-/// per worker.
-///
-/// Small draws (`k ≤ 64`, the route-kernel entry-sampling case) track
-/// their swaps in a linear `(key, value)` list — the map holds at most
-/// `2k` entries, so a linear probe is faster than any hashing — while
-/// large draws fall back to the hash map. The backend is invisible in
-/// the draws: only `gen_range(i..n)` touches the RNG, exactly once per
-/// pick, in both.
+/// The sampler keeps a dense position array that is the identity on
+/// every slot between calls. A draw shuffles its first `k` positions in
+/// place and then undoes exactly the slots it touched, so every draw is
+/// O(k) for any `n`. The array grows once to the largest `n` seen, so
+/// a sampler holds one word per item of its largest population.
 #[derive(Debug, Default, Clone)]
 pub struct IndexSampler {
-    swaps: std::collections::HashMap<usize, usize>,
-    small: Vec<(usize, usize)>,
+    /// `perm[p] == p` for every `p` between calls.
+    perm: Vec<usize>,
 }
 
 impl IndexSampler {
@@ -215,9 +198,7 @@ impl IndexSampler {
     }
 
     /// Draws `k` distinct indices uniformly from `0..n` into `out`
-    /// (cleared first), reusing this sampler's scratch space.
-    ///
-    /// The RNG draw sequence is identical to [`sample_indices`].
+    /// (cleared first). Same picks as [`sample_indices`].
     ///
     /// # Panics
     ///
@@ -229,36 +210,14 @@ impl IndexSampler {
         k: usize,
         out: &mut Vec<usize>,
     ) {
-        assert!(k <= n, "cannot sample {k} distinct items from {n}");
         out.clear();
         out.reserve(k);
-        if k <= LINEAR_SWAP_MAX {
-            self.small.clear();
-            for i in 0..k {
-                let j = rng.gen_range(i..n);
-                let vi = linear_get(&self.small, i);
-                let vj = linear_get(&self.small, j);
-                out.push(vj);
-                linear_set(&mut self.small, j, vi);
-                linear_set(&mut self.small, i, vj);
-            }
-        } else {
-            self.swaps.clear();
-            for i in 0..k {
-                let j = rng.gen_range(i..n);
-                let vi = *self.swaps.get(&i).unwrap_or(&i);
-                let vj = *self.swaps.get(&j).unwrap_or(&j);
-                out.push(vj);
-                self.swaps.insert(j, vi);
-                self.swaps.insert(i, vj);
-            }
-        }
+        self.draw(rng, n, k, |i| out.push(i));
     }
 
     /// Draws `k` distinct elements from `items` without replacement into
-    /// `out` (cleared first), cloning the chosen elements.
-    ///
-    /// The RNG draw sequence is identical to [`sample_from`].
+    /// `out` (cleared first), cloning the chosen elements. Same picks as
+    /// [`sample_from`].
     ///
     /// # Panics
     ///
@@ -270,50 +229,40 @@ impl IndexSampler {
         k: usize,
         out: &mut Vec<T>,
     ) {
-        let n = items.len();
-        assert!(k <= n, "cannot sample {k} distinct items from {n}");
         out.clear();
         out.reserve(k);
-        if k <= LINEAR_SWAP_MAX {
-            self.small.clear();
-            for i in 0..k {
-                let j = rng.gen_range(i..n);
-                let vi = linear_get(&self.small, i);
-                let vj = linear_get(&self.small, j);
-                out.push(items[vj].clone());
-                linear_set(&mut self.small, j, vi);
-                linear_set(&mut self.small, i, vj);
-            }
-        } else {
-            self.swaps.clear();
-            for i in 0..k {
-                let j = rng.gen_range(i..n);
-                let vi = *self.swaps.get(&i).unwrap_or(&i);
-                let vj = *self.swaps.get(&j).unwrap_or(&j);
-                out.push(items[vj].clone());
-                self.swaps.insert(j, vi);
-                self.swaps.insert(i, vj);
-            }
-        }
+        self.draw(rng, items.len(), k, |i| out.push(items[i].clone()));
     }
-}
 
-/// Linear-probe lookup in the small swap list: identity when absent
-/// (mirroring the hash map's `get(&i).unwrap_or(&i)`).
-#[inline]
-fn linear_get(swaps: &[(usize, usize)], key: usize) -> usize {
-    swaps
-        .iter()
-        .find(|&&(k, _)| k == key)
-        .map_or(key, |&(_, v)| v)
-}
-
-/// Linear-probe upsert in the small swap list.
-#[inline]
-fn linear_set(swaps: &mut Vec<(usize, usize)>, key: usize, value: usize) {
-    match swaps.iter_mut().find(|&&mut (k, _)| k == key) {
-        Some(entry) => entry.1 = value,
-        None => swaps.push((key, value)),
+    fn draw<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        n: usize,
+        k: usize,
+        mut pick: impl FnMut(usize),
+    ) {
+        assert!(k <= n, "cannot sample {k} distinct items from {n}");
+        let len = self.perm.len();
+        if len < n {
+            self.perm.extend(len..n);
+        }
+        let perm = &mut self.perm[..n];
+        for i in 0..k {
+            let j = rng.gen_range(i..n);
+            perm.swap(i, j);
+            pick(perm[i]);
+        }
+        // Undo. A slot `p ≥ k` changes only when a step `i` swaps it
+        // in; the first time, its own value `p` moves to position `i`,
+        // which no later step touches. So the changed slots in `k..n`
+        // are exactly the picks `v ≥ k`, and `perm[..k]` holds the picks.
+        for i in 0..k {
+            let v = perm[i];
+            if v >= k {
+                perm[v] = v;
+            }
+            perm[i] = i;
+        }
     }
 }
 

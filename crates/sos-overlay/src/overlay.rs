@@ -28,7 +28,8 @@ pub struct Overlay {
     neighbors: Vec<Vec<NodeId>>,
     /// `layers[0]` = layer 1, …, `layers[L]` = filter layer.
     layers: Vec<Vec<NodeId>>,
-    /// Sampling scratch reused by [`Overlay::build_into`].
+    /// Sampling scratch reused by [`Overlay::build_into`]. The SOS
+    /// membership draw spans every node, so it holds one word per node.
     sampler: IndexSampler,
     picks: Vec<usize>,
 }
@@ -241,19 +242,10 @@ impl Overlay {
         &self.layers[layer - 1]
     }
 
-    /// Draws a client's entry set: `round(m_1)` distinct first-layer
-    /// nodes (a fresh draw per client, like the analytical model's
-    /// average over routing tables).
-    pub fn sample_entry_points<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<NodeId> {
-        let first = self.layer_members(1);
-        let degree = self.scenario.topology().degree(1);
-        let k = stochastic_round(rng, degree).clamp(1, first.len() as u64) as usize;
-        sample_from(rng, first, k)
-    }
-
-    /// Allocation-reusing variant of [`Overlay::sample_entry_points`]:
-    /// fills `out` using the caller's sampling scratch, consuming the
-    /// RNG identically.
+    /// Draws a client's entry set into `out`: `round(m_1)` distinct
+    /// first-layer nodes (a fresh draw per client, like the analytical
+    /// model's average over routing tables), using the caller's
+    /// sampling scratch.
     pub fn sample_entry_points_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -536,10 +528,12 @@ mod tests {
     fn entry_points_come_from_layer_one() {
         let o = overlay(MappingDegree::OneTo(2), 6);
         let mut rng = StdRng::seed_from_u64(10);
+        let mut sampler = IndexSampler::new();
+        let mut entries = Vec::new();
         for _ in 0..20 {
-            let entries = o.sample_entry_points(&mut rng);
+            o.sample_entry_points_into(&mut rng, &mut sampler, &mut entries);
             assert_eq!(entries.len(), 2);
-            for e in entries {
+            for &e in &entries {
                 assert_eq!(o.layer_of(e), Some(1));
             }
         }
@@ -644,15 +638,17 @@ mod tests {
     }
 
     #[test]
-    fn entry_points_into_matches_allocating_variant() {
-        use sos_math::sampling::IndexSampler;
+    fn entry_points_with_a_reused_sampler_match_a_fresh_draw() {
         let o = overlay(MappingDegree::OneTo(2), 6);
         let mut sampler = IndexSampler::new();
         let mut buf = Vec::new();
         for seed in 0..20u64 {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
-            let fresh = o.sample_entry_points(&mut rng_a);
+            let first = o.layer_members(1);
+            let degree = o.scenario().topology().degree(1);
+            let k = stochastic_round(&mut rng_a, degree).clamp(1, first.len() as u64) as usize;
+            let fresh = sample_from(&mut rng_a, first, k);
             o.sample_entry_points_into(&mut rng_b, &mut sampler, &mut buf);
             assert_eq!(fresh, buf);
             assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());

@@ -20,10 +20,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sos_attack::{OneBurstAttacker, SuccessiveAttacker};
 use sos_core::{AttackConfig, Scenario};
-use sos_math::sampling::shuffle;
+use sos_math::sampling::{shuffle, IndexSampler};
 use sos_math::stats::{proportion_ci, ConfidenceInterval};
 use sos_overlay::{NodeId, NodeStatus, Overlay};
-use std::collections::HashMap;
 
 /// Load-model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,6 +134,11 @@ impl FlowSimulation {
         let mut attempts = 0u64;
         let mut load_sum = 0.0f64;
         let mut load_count = 0u64;
+        // Attack load per node index (0.0 = unloaded), and the routing
+        // scratch, both reused across trials.
+        let mut load: Vec<f64> = Vec::new();
+        let mut sampler = IndexSampler::new();
+        let mut candidates: Vec<NodeId> = Vec::new();
         for trial in 0..self.trials {
             let mut rng = StdRng::seed_from_u64(
                 self.seed ^ trial.wrapping_mul(0xA076_1D64_78BD_642F),
@@ -153,11 +157,12 @@ impl FlowSimulation {
             };
             let budget = self.attack.budget();
             let total_load = budget.congestion_capacity as f64 * self.flow.load_per_slot;
-            let mut load: HashMap<NodeId, f64> = HashMap::new();
+            load.clear();
+            load.resize(overlay.total_node_count(), 0.0);
             if !outcome.congested.is_empty() {
                 let per_target = total_load / outcome.congested.len() as f64;
                 for &t in &outcome.congested {
-                    load.insert(t, per_target);
+                    load[t.index()] = per_target;
                     load_sum += per_target;
                     load_count += 1;
                 }
@@ -170,7 +175,7 @@ impl FlowSimulation {
 
             for _ in 0..self.routes_per_trial {
                 attempts += 1;
-                if self.route_with_load(&overlay, &load, &mut rng) {
+                if self.route_with_load(&overlay, &load, &mut rng, &mut sampler, &mut candidates) {
                     successes += 1;
                 }
             }
@@ -195,21 +200,21 @@ impl FlowSimulation {
     fn route_with_load(
         &self,
         overlay: &Overlay,
-        load: &HashMap<NodeId, f64>,
+        load: &[f64],
         rng: &mut StdRng,
+        sampler: &mut IndexSampler,
+        candidates: &mut Vec<NodeId>,
     ) -> bool {
         let last_layer = overlay.layer_count() + 1;
-        let mut candidates = overlay.sample_entry_points(rng);
+        overlay.sample_entry_points_into(rng, sampler, candidates);
         loop {
-            shuffle(rng, &mut candidates);
+            shuffle(rng, candidates);
             let mut forwarded: Option<NodeId> = None;
-            for &node in &candidates {
+            for &node in candidates.iter() {
                 if overlay.status(node) == NodeStatus::Broken {
                     continue;
                 }
-                let service = self
-                    .flow
-                    .service_probability(load.get(&node).copied().unwrap_or(0.0));
+                let service = self.flow.service_probability(load[node.index()]);
                 if rng.gen::<f64>() < service {
                     forwarded = Some(node);
                     break;
@@ -224,7 +229,8 @@ impl FlowSimulation {
             if layer == last_layer {
                 return true;
             }
-            candidates = overlay.neighbors(node).to_vec();
+            candidates.clear();
+            candidates.extend_from_slice(overlay.neighbors(node));
         }
     }
 }
