@@ -104,11 +104,39 @@ impl<E> Scheduler<E> {
 
     /// Pops the next event only if it fires at or before `deadline`.
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        if *self.buckets.first_key_value()?.0 <= deadline {
+        if self.next_time()? <= deadline {
             self.pop()
         } else {
             None
         }
+    }
+
+    /// The firing time of the next pending event.
+    pub fn next_time(&self) -> Option<SimTime> {
+        self.buckets.first_key_value().map(|(&at, _)| at)
+    }
+
+    /// Every pending event with its firing time, in firing order.
+    pub fn iter_pending(&self) -> impl Iterator<Item = (SimTime, &E)> + '_ {
+        self.buckets
+            .iter()
+            .flat_map(|(&at, bucket)| bucket.iter().map(move |event| (at, event)))
+    }
+
+    /// Moves the clock and every pending event `by` ticks later without
+    /// firing anything, and counts `skipped` events as processed.
+    ///
+    /// Each bucket keeps its queue, so the `(time, insertion order)`
+    /// firing order of what is pending does not change. This is for a
+    /// world that has proved its next `skipped` events change nothing
+    /// but themselves and the counters it advances on its own.
+    pub fn fast_forward(&mut self, by: u64, skipped: u64) {
+        self.now += by;
+        self.buckets = std::mem::take(&mut self.buckets)
+            .into_iter()
+            .map(|(at, bucket)| (at + by, bucket))
+            .collect();
+        self.processed += skipped;
     }
 }
 
@@ -244,6 +272,43 @@ mod tests {
         scheduled.sort();
         assert_eq!(fired, scheduled);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn fast_forward_shifts_every_bucket_and_keeps_fifo_order() {
+        let mut s = Scheduler::new();
+        s.schedule(SimTime::from_ticks(3), "a");
+        s.pop();
+        for (at, e) in [(5, "b"), (9, "c"), (5, "d"), (4, "e"), (9, "f")] {
+            s.schedule(SimTime::from_ticks(at), e);
+        }
+        assert_eq!(s.next_time(), Some(SimTime::from_ticks(4)));
+        s.fast_forward(30, 12);
+        assert_eq!(s.now(), SimTime::from_ticks(33));
+        assert_eq!(s.processed(), 13);
+        assert_eq!(s.pending(), 5);
+        let shifted: Vec<(u64, &str)> = s.iter_pending().map(|(t, &e)| (t.ticks(), e)).collect();
+        assert_eq!(
+            shifted,
+            vec![(34, "e"), (35, "b"), (35, "d"), (39, "c"), (39, "f")]
+        );
+        // Scheduling at a shifted time queues behind what is there.
+        s.schedule(SimTime::from_ticks(35), "g");
+        let order: Vec<&str> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["e", "b", "d", "g", "c", "f"]);
+        assert_eq!((s.now(), s.processed()), (SimTime::from_ticks(39), 19));
+    }
+
+    #[test]
+    fn fast_forward_on_an_empty_queue_moves_only_the_clock() {
+        let mut s: Scheduler<u8> = Scheduler::new();
+        s.fast_forward(7, 0);
+        assert_eq!(
+            (s.now(), s.processed(), s.pending()),
+            (SimTime::from_ticks(7), 0, 0)
+        );
+        assert_eq!(s.next_time(), None);
+        assert_eq!(s.iter_pending().count(), 0);
     }
 
     struct Counter {

@@ -24,6 +24,11 @@
 //! nodes currently hold, so convergence can be *measured*: see
 //! [`ChordProtocol::is_converged`] and the tests, which compare against
 //! the oracle ring after every scenario.
+//!
+//! Once every pointer equals the oracle ring's, maintenance is a fixed
+//! point: each firing rewrites what is already there. [`run_maintenance`]
+//! then jumps the clock over whole timer periods instead of stepping
+//! them, with the same result as [`sos_des::run_until`].
 
 use crate::node::NodeId;
 use crate::overlay::Overlay;
@@ -55,6 +60,20 @@ impl Default for ProtocolConfig {
 
 /// Identifier-space size (bits).
 const ID_BITS: usize = 64;
+
+/// How far [`run_maintenance`] trusts the pointers to stay put.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Settle {
+    /// A join, kill or overlay sync since maintenance last ran.
+    Disturbed,
+    /// The last pointer change (or disturbance) was at this tick.
+    QuietSince(SimTime),
+    /// Checked during this quiet stretch: not at the oracle state.
+    Unsettled,
+    /// At the oracle state, a fixed point of maintenance; a jump is
+    /// tried no earlier than this tick.
+    Settled(SimTime),
+}
 
 /// A participant's index in [`ChordProtocol`]'s node table, in join
 /// order. Slots are never reused: dead nodes keep theirs.
@@ -116,11 +135,25 @@ pub struct ChordProtocol {
     /// Spare successor-list buffer that `stabilize` swaps in.
     spare: Vec<Slot>,
     lookups_issued: Cell<u64>,
+    settle: Settle,
 }
 
 impl ChordProtocol {
     /// Creates an empty network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either timer interval is zero (the timer would re-arm
+    /// at the tick it fired, forever) or the successor list is empty.
     pub fn new(cfg: ProtocolConfig) -> Self {
+        assert!(
+            cfg.stabilize_interval > 0 && cfg.fix_fingers_interval > 0,
+            "maintenance intervals must be at least one tick: {cfg:?}"
+        );
+        assert!(
+            cfg.successor_list_len > 0,
+            "the successor list must hold at least one entry: {cfg:?}"
+        );
         ChordProtocol {
             cfg,
             nodes: Vec::new(),
@@ -129,6 +162,7 @@ impl ChordProtocol {
             slot_of_overlay: HashMap::new(),
             spare: Vec::new(),
             lookups_issued: Cell::new(0),
+            settle: Settle::Disturbed,
         }
     }
 
@@ -207,6 +241,7 @@ impl ChordProtocol {
         let pos = self.ring.partition_point(|&(x, _)| x < id);
         self.ring.insert(pos, (id, slot));
         self.slot_of_overlay.insert(overlay, slot);
+        self.settle = Settle::Disturbed;
         let who = Participant { slot, id };
         sched.schedule_in(
             self.cfg.stabilize_interval,
@@ -227,6 +262,7 @@ impl ChordProtocol {
     pub fn kill(&mut self, id: u64) {
         let slot = self.slot(id).unwrap_or_else(|| panic!("unknown chord id {id}"));
         self.nodes[slot as usize].alive = false;
+        self.settle = Settle::Disturbed;
     }
 
     /// Whether the node with this Chord id is alive on the ring.
@@ -252,6 +288,7 @@ impl ChordProtocol {
     /// not resurrect ring nodes, matching real infrastructure where a
     /// crashed Chord participant must re-join.
     pub fn sync_overlay_damage(&mut self, overlay: &Overlay) {
+        self.settle = Settle::Disturbed;
         for node in overlay.overlay_ids() {
             if !overlay.is_good(node) {
                 if let Some(&slot) = self.slot_of_overlay.get(&node) {
@@ -550,8 +587,11 @@ impl ChordProtocol {
         best.map(|(_, c)| c)
     }
 
-    fn stabilize(&mut self, slot: Slot) {
+    /// One stabilize round at `slot`; returns whether it changed a
+    /// pointer.
+    fn stabilize(&mut self, slot: Slot) -> bool {
         let id = self.id_of(slot);
+        let mut changed = false;
         let succ = match self.first_usable_successor(slot, None) {
             Some(succ) => succ,
             None => {
@@ -559,11 +599,12 @@ impl ChordProtocol {
                 // alive finger; the normal mechanism takes over next
                 // round.
                 let Some(rescue) = self.closest_usable_finger(slot, None) else {
-                    return; // fully isolated node
+                    return false; // fully isolated node
                 };
                 let list = &mut self.nodes[slot as usize].successors;
                 list.clear();
                 list.push(rescue);
+                changed = true;
                 rescue
             }
         };
@@ -586,13 +627,14 @@ impl ChordProtocol {
         list.clear();
         list.push(new_succ);
         for &entry in &self.node(new_succ).successors {
-            if entry != slot && !list.contains(&entry) && self.node(entry).alive {
-                list.push(entry);
-            }
             if list.len() >= self.cfg.successor_list_len {
                 break;
             }
+            if entry != slot && !list.contains(&entry) && self.node(entry).alive {
+                list.push(entry);
+            }
         }
+        changed |= list != self.node(slot).successors;
         std::mem::swap(&mut self.nodes[slot as usize].successors, &mut list);
         self.spare = list;
         // Notify: tell the successor about ourselves.
@@ -603,17 +645,171 @@ impl ChordProtocol {
             }
         };
         if adopt && new_succ != slot {
-            self.nodes[new_succ as usize].predecessor = Some(slot);
+            let predecessor = &mut self.nodes[new_succ as usize].predecessor;
+            changed |= *predecessor != Some(slot);
+            *predecessor = Some(slot);
         }
+        changed
     }
 
-    fn fix_fingers(&mut self, slot: Slot) {
+    /// Re-looks-up the finger under `slot`'s cursor and moves the cursor
+    /// on; returns whether the finger changed.
+    fn fix_fingers(&mut self, slot: Slot) -> bool {
         let k = self.node(slot).next_finger;
         let target = self.id_of(slot).wrapping_add(1u64 << k);
+        let mut changed = false;
         if let Some((owner, _)) = self.route(slot, target, None) {
-            self.fingers[slot as usize * ID_BITS + k] = owner;
+            let finger = &mut self.fingers[slot as usize * ID_BITS + k];
+            changed = *finger != owner;
+            *finger = owner;
         }
         self.nodes[slot as usize].next_finger = (k + 1) % ID_BITS;
+        changed
+    }
+
+    /// Whether every pointer equals the oracle ring's: every participant
+    /// is alive, every successor list holds the next `min(L, n - 1)`
+    /// members (a lone node lists itself), every predecessor is the
+    /// ring predecessor, and every finger `k` is
+    /// `oracle_successor(id + 2^k)`.
+    ///
+    /// This state is a fixed point of maintenance. With every member
+    /// alive and every `successors[0]` right, `route` reaches the oracle
+    /// owner whatever the fingers hold: each hop moves strictly
+    /// clockwise toward the key, well within `max_hops`. So
+    /// `fix_fingers` rewrites the finger it reads, and `stabilize`,
+    /// which reads fingers only on its rescue path, rebuilds the same
+    /// list and notifies a successor that already names it.
+    ///
+    /// O(`ID_BITS` · n): a finger whose target falls before the
+    /// successor is compared without a search.
+    fn at_oracle(&self) -> bool {
+        let n = self.ring.len();
+        if n == 0 || self.nodes.iter().any(|node| !node.alive) {
+            return false;
+        }
+        let list_len = self.cfg.successor_list_len.min(n - 1).max(1);
+        self.ring.iter().enumerate().all(|(i, &(id, slot))| {
+            let node = self.node(slot);
+            let expected = (1..=list_len).map(|k| self.ring[(i + k) % n].1);
+            let predecessor = (n > 1).then(|| self.ring[(i + n - 1) % n].1);
+            let (succ_id, succ) = self.ring[(i + 1) % n];
+            let owner = |target: u64| {
+                if in_half_open_interval(id, succ_id, target) {
+                    succ
+                } else {
+                    self.ring[self.ring.partition_point(|&(x, _)| x < target) % n].1
+                }
+            };
+            let mut fingers = self.fingers_of(slot).iter().enumerate();
+            node.successors.iter().copied().eq(expected)
+                && node.predecessor == predecessor
+                && fingers.all(|(k, &finger)| finger == owner(id.wrapping_add(1u64 << k)))
+        })
+    }
+
+    /// Jumps `sched` over maintenance that cannot change anything,
+    /// exactly as if every skipped timer had fired.
+    ///
+    /// After `fix_fingers_interval` ticks with no pointer change the
+    /// ring is checked once against [`at_oracle`](Self::at_oracle). At
+    /// the oracle state the clock jumps by the largest whole multiple of
+    /// `lcm(stabilize_interval, fix_fingers_interval)` that stays within
+    /// `deadline`, provided the ring is at a tick boundary (nothing
+    /// pending at `now`) and the pending queue is in phase
+    /// ([`timers_in_phase`](Self::timers_in_phase)). Every timer would
+    /// then have fired a whole number of times and be back at its own
+    /// phase, in its own queue position. The jump adds exactly those
+    /// firings to `processed`, and for each skipped fix-fingers one
+    /// lookup to `lookups_issued` and one step to its node's finger
+    /// cursor.
+    fn skip_settled(&mut self, sched: &mut Scheduler<MaintenanceEvent>, deadline: SimTime) {
+        let now = sched.now();
+        let (stabilize, fix) = (self.cfg.stabilize_interval, self.cfg.fix_fingers_interval);
+        match self.settle {
+            Settle::Disturbed => {
+                self.settle = Settle::QuietSince(now);
+                return;
+            }
+            Settle::QuietSince(since) if now.since(since) >= fix => {}
+            Settle::Settled(from) if now >= from => {}
+            _ => return,
+        }
+        if sched.next_time().is_none_or(|next| next <= now) {
+            return; // empty, or mid-tick
+        }
+        if let Settle::QuietSince(_) = self.settle {
+            if !self.at_oracle() {
+                self.settle = Settle::Unsettled;
+                return;
+            }
+            self.settle = Settle::Settled(now);
+        }
+        let Some(period) = (stabilize / gcd(stabilize, fix)).checked_mul(fix) else {
+            return;
+        };
+        let jump = deadline.since(now) / period * period;
+        if jump == 0 {
+            return;
+        }
+        if !self.timers_in_phase(sched) {
+            // Within the longer interval every pending event fires once
+            // and re-arms (or drops) itself in order.
+            self.settle = Settle::Settled(now + stabilize.max(fix));
+            return;
+        }
+        let fix_rounds = jump / fix;
+        let cursor_step = (fix_rounds % ID_BITS as u64) as usize;
+        let mut skipped = 0;
+        for (_, &event) in sched.iter_pending() {
+            skipped += match event {
+                MaintenanceEvent::Stabilize(_) => jump / stabilize,
+                MaintenanceEvent::FixFingers(who) => {
+                    let node = &mut self.nodes[who.slot as usize];
+                    node.next_finger = (node.next_finger + cursor_step) % ID_BITS;
+                    self.lookups_issued
+                        .set(self.lookups_issued.get() + fix_rounds);
+                    fix_rounds
+                }
+            };
+        }
+        sched.fast_forward(jump, skipped);
+    }
+
+    /// Whether the pending queue is what stepping would leave one whole
+    /// period later: every event is a live timer of this protocol; the
+    /// latest arming time (due time less interval) is `now` exactly, so
+    /// no timer is due more than one interval out and the clock stands
+    /// where the last firing re-armed; and no tick's queue holds a
+    /// shorter-period timer ahead of a longer-period one (re-arming
+    /// queues the timer that fired earlier first).
+    fn timers_in_phase(&self, sched: &Scheduler<MaintenanceEvent>) -> bool {
+        let mut latest_armed = None;
+        let mut prev: Option<(SimTime, u64)> = None;
+        for (at, &event) in sched.iter_pending() {
+            let Some((_, interval)) = self.live_timer(event) else {
+                return false;
+            };
+            if prev.is_some_and(|(t, p)| t == at && p < interval) {
+                return false;
+            }
+            prev = Some((at, interval));
+            latest_armed = latest_armed.max(at.ticks().checked_sub(interval));
+        }
+        latest_armed == Some(sched.now().ticks())
+    }
+
+    /// The slot and interval of a timer that names a live node of this
+    /// protocol (same slot, same Chord id); `None` for one to drop.
+    fn live_timer(&self, event: MaintenanceEvent) -> Option<(Slot, u64)> {
+        let (Participant { slot, id }, interval) = match event {
+            MaintenanceEvent::Stabilize(who) => (who, self.cfg.stabilize_interval),
+            MaintenanceEvent::FixFingers(who) => (who, self.cfg.fix_fingers_interval),
+        };
+        let named = self.nodes.get(slot as usize);
+        named
+            .is_some_and(|n| n.id == id && n.alive)
+            .then_some((slot, interval))
     }
 }
 
@@ -622,21 +818,23 @@ impl Simulation for ChordProtocol {
 
     fn handle(
         &mut self,
-        _at: SimTime,
+        at: SimTime,
         event: MaintenanceEvent,
         sched: &mut Scheduler<MaintenanceEvent>,
     ) {
-        let (Participant { slot, id }, interval) = match event {
-            MaintenanceEvent::Stabilize(who) => (who, self.cfg.stabilize_interval),
-            MaintenanceEvent::FixFingers(who) => (who, self.cfg.fix_fingers_interval),
-        };
-        let named = self.nodes.get(slot as usize);
-        if !named.is_some_and(|n| n.id == id && n.alive) {
+        let Some((slot, interval)) = self.live_timer(event) else {
             return;
-        }
-        match event {
+        };
+        let changed = match event {
             MaintenanceEvent::Stabilize(_) => self.stabilize(slot),
             MaintenanceEvent::FixFingers(_) => self.fix_fingers(slot),
+        };
+        if changed {
+            debug_assert!(
+                !matches!(self.settle, Settle::Settled(_)),
+                "a pointer changed at the oracle state"
+            );
+            self.settle = Settle::QuietSince(at);
         }
         sched.schedule_in(interval, event);
     }
@@ -644,12 +842,40 @@ impl Simulation for ChordProtocol {
 
 /// Runs maintenance until `deadline`; returns the step outcome and the
 /// number of maintenance events processed.
+///
+/// The result equals [`sos_des::run_until`]'s, event counts included.
+/// Once every pointer equals the oracle ring's, whole periods of
+/// `lcm(stabilize_interval, fix_fingers_interval)` ticks are skipped
+/// rather than stepped: every timer would fire a whole number of times,
+/// change nothing, and be back at its phase and queue position.
 pub fn run_maintenance(
     protocol: &mut ChordProtocol,
     sched: &mut Scheduler<MaintenanceEvent>,
     deadline: SimTime,
 ) -> (StepOutcome, u64) {
-    run_until(protocol, sched, deadline)
+    let start = sched.processed();
+    loop {
+        protocol.skip_settled(sched, deadline);
+        // One tick at a time, so that every check sees a tick boundary.
+        let Some(tick) = sched.next_time().filter(|&at| at <= deadline) else {
+            break;
+        };
+        run_until(protocol, sched, tick);
+    }
+    let outcome = if sched.is_empty() {
+        StepOutcome::Quiescent
+    } else {
+        StepOutcome::DeadlineReached
+    };
+    (outcome, sched.processed() - start)
+}
+
+fn gcd(a: u64, b: u64) -> u64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
 }
 
 /// `x ∈ (a, b)` on the ring (exclusive both ends).

@@ -134,25 +134,33 @@ impl FlowSimulation {
         let mut attempts = 0u64;
         let mut load_sum = 0.0f64;
         let mut load_count = 0u64;
-        // Attack load per node index (0.0 = unloaded), and the routing
-        // scratch, both reused across trials.
+        // Attack load per node index (0.0 = unloaded), the routing
+        // scratch and the overlay, all reused across trials.
         let mut load: Vec<f64> = Vec::new();
         let mut sampler = IndexSampler::new();
         let mut candidates: Vec<NodeId> = Vec::new();
+        let mut reused: Option<Overlay> = None;
         for trial in 0..self.trials {
             let mut rng = StdRng::seed_from_u64(
                 self.seed ^ trial.wrapping_mul(0xA076_1D64_78BD_642F),
             );
-            let mut overlay = Overlay::build(&self.scenario, &mut rng);
+            // `build_into` draws exactly what `build` draws.
+            let overlay = match &mut reused {
+                Some(overlay) => {
+                    overlay.build_into(&self.scenario, &mut rng);
+                    overlay
+                }
+                None => reused.insert(Overlay::build(&self.scenario, &mut rng)),
+            };
             // Execute the attack with binary semantics to obtain the
             // attacker's target choice, then reinterpret congestion as
             // load.
             let outcome = match self.attack {
                 AttackConfig::OneBurst { budget } => {
-                    OneBurstAttacker::new(budget).execute(&mut overlay, &mut rng)
+                    OneBurstAttacker::new(budget).execute(overlay, &mut rng)
                 }
                 AttackConfig::Successive { budget, params } => {
-                    SuccessiveAttacker::new(budget, params).execute(&mut overlay, &mut rng)
+                    SuccessiveAttacker::new(budget, params).execute(overlay, &mut rng)
                 }
             };
             let budget = self.attack.budget();
@@ -175,7 +183,7 @@ impl FlowSimulation {
 
             for _ in 0..self.routes_per_trial {
                 attempts += 1;
-                if self.route_with_load(&overlay, &load, &mut rng, &mut sampler, &mut candidates) {
+                if self.route_with_load(overlay, &load, &mut rng, &mut sampler, &mut candidates) {
                     successes += 1;
                 }
             }

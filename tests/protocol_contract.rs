@@ -366,6 +366,64 @@ fn successor_lists_never_exceed_the_configured_length() {
 }
 
 #[test]
+fn settled_lists_hold_exactly_the_configured_length() {
+    for len in [1, 2, 3, 8] {
+        let cfg = ProtocolConfig {
+            successor_list_len: len,
+            ..ProtocolConfig::default()
+        };
+        let (mut proto, mut sched, ids) = converged_ring(10, 32, cfg);
+        let ring = proto.alive_ids();
+        let expected = len.min(ring.len() - 1);
+        for (i, &id) in ring.iter().enumerate() {
+            let list = proto.successor_list_of(id).unwrap();
+            let next: Vec<u64> = (1..=expected).map(|k| ring[(i + k) % ring.len()]).collect();
+            assert_eq!(list, next, "L={len}: list of {id}");
+        }
+        // Recovery refills lists from the successor's; they still never
+        // grow past L.
+        for &id in ids.iter().step_by(3) {
+            proto.kill(id);
+        }
+        let start = sched.now();
+        for step in 1..=30u64 {
+            run_maintenance(&mut proto, &mut sched, start + step * 5);
+            for id in proto.alive_ids() {
+                let held = proto.successor_list_of(id).unwrap().len();
+                assert!((1..=len).contains(&held), "L={len}: {id} holds {held}");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "maintenance intervals must be at least one tick")]
+fn a_zero_stabilize_interval_is_rejected() {
+    ChordProtocol::new(ProtocolConfig {
+        stabilize_interval: 0,
+        ..ProtocolConfig::default()
+    });
+}
+
+#[test]
+#[should_panic(expected = "maintenance intervals must be at least one tick")]
+fn a_zero_fix_fingers_interval_is_rejected() {
+    ChordProtocol::new(ProtocolConfig {
+        fix_fingers_interval: 0,
+        ..ProtocolConfig::default()
+    });
+}
+
+#[test]
+#[should_panic(expected = "the successor list must hold at least one entry")]
+fn an_empty_successor_list_is_rejected() {
+    ChordProtocol::new(ProtocolConfig {
+        successor_list_len: 0,
+        ..ProtocolConfig::default()
+    });
+}
+
+#[test]
 fn one_stabilize_round_clears_dead_entries_from_alive_lists() {
     let (mut proto, mut sched, ids) = converged_ring(30, 30, ProtocolConfig::default());
     for &id in ids.iter().step_by(5) {
