@@ -694,12 +694,17 @@ fn staleness_trial(
     }
     let direct = hits as f64 / 100.0;
 
-    // Protocol transport at increasing maintenance times.
+    // Protocol transport at increasing maintenance times. One transport
+    // holds the ring throughout: routing moves only its
+    // `lookups_issued` counter, which nothing here reads.
     let mut protocol = [0.0f64; STALENESS_MEASURE_POINTS.len()];
     let attack_time = sched.now();
+    let mut transport = Transport::Protocol(proto);
     for (ps, &t) in protocol.iter_mut().zip(&STALENESS_MEASURE_POINTS) {
-        run_maintenance(&mut proto, &mut sched, attack_time + t);
-        let transport = Transport::Protocol(proto.clone());
+        let Transport::Protocol(proto) = &mut transport else {
+            unreachable!("built as a protocol transport")
+        };
+        run_maintenance(proto, &mut sched, attack_time + t);
         let mut hits = 0u32;
         let ctx = RouteCtx::new(&overlay, &transport, RoutingPolicy::RandomGood);
         for _ in 0..100 {

@@ -25,10 +25,12 @@
 //! [`ChordProtocol::is_converged`] and the tests, which compare against
 //! the oracle ring after every scenario.
 //!
-//! Once every pointer equals the oracle ring's, maintenance is a fixed
-//! point: each firing rewrites what is already there. [`run_maintenance`]
+//! Once every successor list and predecessor equals the oracle ring's,
+//! the links are a fixed point of maintenance and each fix-fingers
+//! firing writes the oracle owner of its finger. [`run_maintenance`]
 //! then jumps the clock over whole timer periods instead of stepping
-//! them, with the same result as [`sos_des::run_until`].
+//! them, writes those fingers in closed form, and ends with the same
+//! result as [`sos_des::run_until`].
 
 use crate::node::NodeId;
 use crate::overlay::Overlay;
@@ -66,12 +68,12 @@ const ID_BITS: usize = 64;
 enum Settle {
     /// A join, kill or overlay sync since maintenance last ran.
     Disturbed,
-    /// The last pointer change (or disturbance) was at this tick.
+    /// The last link change (or disturbance) was at this tick.
     QuietSince(SimTime),
-    /// Checked during this quiet stretch: not at the oracle state.
+    /// Checked during this quiet stretch: the links are not settled.
     Unsettled,
-    /// At the oracle state, a fixed point of maintenance; a jump is
-    /// tried no earlier than this tick.
+    /// Link-settled, a fixed point of maintenance; a jump is tried no
+    /// earlier than this tick.
     Settled(SimTime),
 }
 
@@ -275,6 +277,13 @@ impl ChordProtocol {
     pub fn successor_list_of(&self, id: u64) -> Option<Vec<u64>> {
         let node = self.node(self.slot(id)?);
         Some(node.successors.iter().map(|&s| self.id_of(s)).collect())
+    }
+
+    /// The current finger table of `id`: entry `k` is the node it holds
+    /// for `id + 2^k`, possibly stale.
+    pub fn finger_table_of(&self, id: u64) -> Option<Vec<u64>> {
+        let fingers = self.fingers_of(self.slot(id)?);
+        Some(fingers.iter().map(|&s| self.id_of(s)).collect())
     }
 
     /// Chord ids of all alive participants, in ring order.
@@ -588,7 +597,7 @@ impl ChordProtocol {
     }
 
     /// One stabilize round at `slot`; returns whether it changed a
-    /// pointer.
+    /// successor list or a predecessor.
     fn stabilize(&mut self, slot: Slot) -> bool {
         let id = self.id_of(slot);
         let mut changed = false;
@@ -653,76 +662,89 @@ impl ChordProtocol {
     }
 
     /// Re-looks-up the finger under `slot`'s cursor and moves the cursor
-    /// on; returns whether the finger changed.
-    fn fix_fingers(&mut self, slot: Slot) -> bool {
+    /// on.
+    fn fix_fingers(&mut self, slot: Slot) {
         let k = self.node(slot).next_finger;
         let target = self.id_of(slot).wrapping_add(1u64 << k);
-        let mut changed = false;
         if let Some((owner, _)) = self.route(slot, target, None) {
-            let finger = &mut self.fingers[slot as usize * ID_BITS + k];
-            changed = *finger != owner;
-            *finger = owner;
+            self.fingers[slot as usize * ID_BITS + k] = owner;
         }
         self.nodes[slot as usize].next_finger = (k + 1) % ID_BITS;
-        changed
     }
 
-    /// Whether every pointer equals the oracle ring's: every participant
-    /// is alive, every successor list holds the next `min(L, n - 1)`
-    /// members (a lone node lists itself), every predecessor is the
-    /// ring predecessor, and every finger `k` is
-    /// `oracle_successor(id + 2^k)`.
+    /// Whether the links equal the oracle ring's (the ring is
+    /// *link-settled*): every participant is alive, every successor list
+    /// holds the next `min(L, n - 1)` members (a lone node lists itself)
+    /// and every predecessor is the ring predecessor. Fingers may be
+    /// stale.
     ///
     /// This state is a fixed point of maintenance. With every member
     /// alive and every `successors[0]` right, `route` reaches the oracle
     /// owner whatever the fingers hold: each hop moves strictly
-    /// clockwise toward the key, well within `max_hops`. So
-    /// `fix_fingers` rewrites the finger it reads, and `stabilize`,
+    /// clockwise toward the key, well within `max_hops`. So `stabilize`,
     /// which reads fingers only on its rescue path, rebuilds the same
-    /// list and notifies a successor that already names it.
+    /// list and notifies a successor that already names it, and each
+    /// `fix_fingers` writes `oracle_successor(id + 2^k)` into the finger
+    /// under its cursor.
     ///
-    /// O(`ID_BITS` · n): a finger whose target falls before the
-    /// successor is compared without a search.
-    fn at_oracle(&self) -> bool {
+    /// O(L · n).
+    fn links_settled(&self) -> bool {
         let n = self.ring.len();
         if n == 0 || self.nodes.iter().any(|node| !node.alive) {
             return false;
         }
         let list_len = self.cfg.successor_list_len.min(n - 1).max(1);
-        self.ring.iter().enumerate().all(|(i, &(id, slot))| {
+        self.ring.iter().enumerate().all(|(i, &(_, slot))| {
             let node = self.node(slot);
             let expected = (1..=list_len).map(|k| self.ring[(i + k) % n].1);
             let predecessor = (n > 1).then(|| self.ring[(i + n - 1) % n].1);
-            let (succ_id, succ) = self.ring[(i + 1) % n];
-            let owner = |target: u64| {
-                if in_half_open_interval(id, succ_id, target) {
-                    succ
-                } else {
-                    self.ring[self.ring.partition_point(|&(x, _)| x < target) % n].1
-                }
-            };
-            let mut fingers = self.fingers_of(slot).iter().enumerate();
-            node.successors.iter().copied().eq(expected)
-                && node.predecessor == predecessor
-                && fingers.all(|(k, &finger)| finger == owner(id.wrapping_add(1u64 << k)))
+            node.successors.iter().copied().eq(expected) && node.predecessor == predecessor
         })
     }
 
-    /// Jumps `sched` over maintenance that cannot change anything,
+    /// Writes what `rounds` fix-fingers firings at `slot` write on a
+    /// link-settled ring: from the cursor on, wrapping modulo `ID_BITS`,
+    /// `min(rounds, ID_BITS)` fingers each set to the oracle owner of
+    /// its target. A target before the successor is taken without a
+    /// search. The cursor is left alone.
+    fn write_settled_fingers(&mut self, slot: Slot, rounds: u64) {
+        let n = self.ring.len();
+        let id = self.id_of(slot);
+        let i = self
+            .ring
+            .binary_search_by_key(&id, |&(x, _)| x)
+            .expect("every participant is on the ring");
+        let (succ_id, succ) = self.ring[(i + 1) % n];
+        let cursor = self.node(slot).next_finger;
+        let writes = rounds.min(ID_BITS as u64) as usize;
+        for k in (cursor..cursor + writes).map(|k| k % ID_BITS) {
+            let target = id.wrapping_add(1u64 << k);
+            let owner = if in_half_open_interval(id, succ_id, target) {
+                succ
+            } else {
+                self.ring[self.ring.partition_point(|&(x, _)| x < target) % n].1
+            };
+            self.fingers[slot as usize * ID_BITS + k] = owner;
+        }
+    }
+
+    /// Jumps `sched` over maintenance whose effect is known in advance,
     /// exactly as if every skipped timer had fired.
     ///
-    /// After `fix_fingers_interval` ticks with no pointer change the
-    /// ring is checked once against [`at_oracle`](Self::at_oracle). At
-    /// the oracle state the clock jumps by the largest whole multiple of
+    /// After `fix_fingers_interval` ticks with no link change the ring
+    /// is checked once against [`links_settled`](Self::links_settled).
+    /// Link-settled, the clock jumps by the largest whole multiple of
     /// `lcm(stabilize_interval, fix_fingers_interval)` that stays within
     /// `deadline`, provided the ring is at a tick boundary (nothing
     /// pending at `now`) and the pending queue is in phase
     /// ([`timers_in_phase`](Self::timers_in_phase)). Every timer would
     /// then have fired a whole number of times and be back at its own
     /// phase, in its own queue position. The jump adds exactly those
-    /// firings to `processed`, and for each skipped fix-fingers one
-    /// lookup to `lookups_issued` and one step to its node's finger
-    /// cursor.
+    /// firings to `processed`; for each fix-fingers timer it writes the
+    /// fingers its skipped firings would have written
+    /// ([`write_settled_fingers`](Self::write_settled_fingers)), and adds
+    /// one lookup per firing to `lookups_issued` and one step to its
+    /// node's finger cursor.
     fn skip_settled(&mut self, sched: &mut Scheduler<MaintenanceEvent>, deadline: SimTime) {
         let now = sched.now();
         let (stabilize, fix) = (self.cfg.stabilize_interval, self.cfg.fix_fingers_interval);
@@ -739,7 +761,7 @@ impl ChordProtocol {
             return; // empty, or mid-tick
         }
         if let Settle::QuietSince(_) = self.settle {
-            if !self.at_oracle() {
+            if !self.links_settled() {
                 self.settle = Settle::Unsettled;
                 return;
             }
@@ -765,6 +787,7 @@ impl ChordProtocol {
             skipped += match event {
                 MaintenanceEvent::Stabilize(_) => jump / stabilize,
                 MaintenanceEvent::FixFingers(who) => {
+                    self.write_settled_fingers(who.slot, fix_rounds);
                     let node = &mut self.nodes[who.slot as usize];
                     node.next_finger = (node.next_finger + cursor_step) % ID_BITS;
                     self.lookups_issued
@@ -825,16 +848,17 @@ impl Simulation for ChordProtocol {
         let Some((slot, interval)) = self.live_timer(event) else {
             return;
         };
-        let changed = match event {
-            MaintenanceEvent::Stabilize(_) => self.stabilize(slot),
+        match event {
+            MaintenanceEvent::Stabilize(_) => {
+                if self.stabilize(slot) {
+                    debug_assert!(
+                        !matches!(self.settle, Settle::Settled(_)),
+                        "a link changed on a link-settled ring"
+                    );
+                    self.settle = Settle::QuietSince(at);
+                }
+            }
             MaintenanceEvent::FixFingers(_) => self.fix_fingers(slot),
-        };
-        if changed {
-            debug_assert!(
-                !matches!(self.settle, Settle::Settled(_)),
-                "a pointer changed at the oracle state"
-            );
-            self.settle = Settle::QuietSince(at);
         }
         sched.schedule_in(interval, event);
     }
@@ -844,10 +868,12 @@ impl Simulation for ChordProtocol {
 /// number of maintenance events processed.
 ///
 /// The result equals [`sos_des::run_until`]'s, event counts included.
-/// Once every pointer equals the oracle ring's, whole periods of
-/// `lcm(stabilize_interval, fix_fingers_interval)` ticks are skipped
-/// rather than stepped: every timer would fire a whole number of times,
-/// change nothing, and be back at its phase and queue position.
+/// Once every successor list and predecessor equals the oracle ring's,
+/// whole periods of `lcm(stabilize_interval, fix_fingers_interval)`
+/// ticks are skipped rather than stepped: every timer would fire a whole
+/// number of times and be back at its phase and queue position, no link
+/// would change, and the fingers the skipped fix-fingers would have
+/// written are written directly.
 pub fn run_maintenance(
     protocol: &mut ChordProtocol,
     sched: &mut Scheduler<MaintenanceEvent>,

@@ -1,11 +1,12 @@
-//! `run_maintenance` jumps a settled ring's clock over idle timer
-//! periods instead of stepping them. These tests hold it to the plain
-//! stepping reference, `sos_des::run_until`: after every maintenance
-//! call two copies of one ring agree on every observable (alive ids,
-//! successor lists, lookups issued, events processed, the clock and the
-//! pending queue in firing order), and they keep agreeing through a
-//! later failure and recovery, which is where a wrong finger cursor or
-//! a reordered queue would show.
+//! `run_maintenance` jumps a link-settled ring's clock over whole timer
+//! periods instead of stepping them, and writes the fingers the skipped
+//! fix-fingers firings would have written. These tests hold it to the
+//! plain stepping reference, `sos_des::run_until`: after every
+//! maintenance call two copies of one ring agree on every observable
+//! (alive ids, successor lists, finger tables, lookups issued, events
+//! processed, the clock and the pending queue in firing order), and they
+//! keep agreeing through a later failure and recovery, which is where a
+//! wrong finger cursor or a reordered queue would show.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -22,6 +23,7 @@ type Ring = (ChordProtocol, Scheduler<MaintenanceEvent>);
 struct Observed {
     alive: Vec<u64>,
     lists: Vec<Option<Vec<u64>>>,
+    fingers: Vec<Option<Vec<u64>>>,
     lookups_issued: u64,
     processed: u64,
     now: SimTime,
@@ -32,6 +34,7 @@ fn observe((proto, sched): &Ring, ids: &[u64]) -> Observed {
     Observed {
         alive: proto.alive_ids(),
         lists: ids.iter().map(|&id| proto.successor_list_of(id)).collect(),
+        fingers: ids.iter().map(|&id| proto.finger_table_of(id)).collect(),
         lookups_issued: proto.lookups_issued(),
         processed: sched.processed(),
         now: sched.now(),
@@ -180,8 +183,7 @@ proptest! {
 
         // A late join: successor lists settle within a few periods, but
         // the fingers that should now name the newcomer wait for their
-        // node's cursor, so the ring is quiet long before it is at the
-        // oracle state again.
+        // node's cursor, so the jumps that follow must write them.
         let mut id = rng.gen::<u64>();
         while !used.insert(id) {
             id = rng.gen::<u64>();
@@ -235,19 +237,17 @@ fn settled_ring(n: u32) -> (Ring, Vec<u64>) {
     ((proto, sched), ids)
 }
 
-#[test]
-fn a_settled_ring_skips_a_trillion_ticks_with_closed_form_counts() {
-    const TICKS: u64 = 1_000_000_000_000;
-    let ((mut proto, mut sched), ids) = settled_ring(64);
-    let deadline = sched.now() + TICKS;
-    // Each timer fires at its due time and every period after it up to
-    // the deadline.
+/// What stepping the default timers in `sched` to `deadline` amounts
+/// to: `(firings, fix-fingers firings, time of the last firing)`. Each
+/// timer fires at its due time and every period after it up to the
+/// deadline.
+fn closed_form_counts(
+    sched: &Scheduler<MaintenanceEvent>,
+    deadline: SimTime,
+) -> (u64, u64, SimTime) {
     let (mut firings, mut fix_firings, mut last) = (0u64, 0u64, sched.now());
     for (at, event) in sched.iter_pending() {
-        let period = match event {
-            MaintenanceEvent::Stabilize(_) => 10,
-            MaintenanceEvent::FixFingers(_) => 15,
-        };
+        let period = interval(event);
         let k = (deadline - at) / period + 1;
         firings += k;
         if let MaintenanceEvent::FixFingers(_) = event {
@@ -255,6 +255,30 @@ fn a_settled_ring_skips_a_trillion_ticks_with_closed_form_counts() {
         }
         last = last.max(at + (k - 1) * period);
     }
+    (firings, fix_firings, last)
+}
+
+/// How many fingers of the alive members differ from their oracle
+/// owner, `oracle_successor(id + 2^k)`.
+fn stale_fingers(proto: &ChordProtocol) -> usize {
+    proto
+        .alive_ids()
+        .into_iter()
+        .flat_map(|id| {
+            let fingers = proto.finger_table_of(id).unwrap();
+            (0..64).filter(move |&k| {
+                Some(fingers[k]) != proto.oracle_successor(id.wrapping_add(1 << k))
+            })
+        })
+        .count()
+}
+
+#[test]
+fn a_settled_ring_skips_a_trillion_ticks_with_closed_form_counts() {
+    const TICKS: u64 = 1_000_000_000_000;
+    let ((mut proto, mut sched), ids) = settled_ring(64);
+    let deadline = sched.now() + TICKS;
+    let (firings, fix_firings, last) = closed_form_counts(&sched, deadline);
     // The stepping reference for the tail: the queue one period-multiple
     // earlier, stepped event by event.
     let jump = TICKS / 30 * 30;
@@ -286,6 +310,69 @@ fn a_settled_ring_skips_a_trillion_ticks_with_closed_form_counts() {
         let from = ids[rng.gen_range(0..ids.len())];
         assert_eq!(proto.lookup(from, key), proto.oracle_successor(key));
     }
+}
+
+/// One node joins a settled 64-node ring. Its links settle within a few
+/// stabilize rounds, while the fingers that should name it (and its own)
+/// wait for their node's cursor. Short calls are held to stepping finger
+/// by finger with jumps of fewer than 64 fix-fingers rounds; then one
+/// call skips 10^12 ticks, which returns only because the jump ran, and
+/// must leave every finger at its oracle owner.
+#[test]
+fn a_link_settled_ring_writes_the_skipped_fingers_in_closed_form() {
+    const TICKS: u64 = 1_000_000_000_000;
+    let ((proto, sched), ids) = settled_ring(64);
+    let mut twin = Twin {
+        stepped: (proto.clone(), sched.clone()),
+        skipped: (proto, sched),
+        ids,
+    };
+    let mut rng = StdRng::seed_from_u64(66);
+    let newcomer = loop {
+        let id = rng.gen::<u64>();
+        if !twin.ids.contains(&id) {
+            break id;
+        }
+    };
+    let via = twin.ids[rng.gen_range(0..twin.ids.len())];
+    twin.add(newcomer, Some(via));
+    // Step both copies until every successor list is the oracle's.
+    let lists_settled = |proto: &ChordProtocol| {
+        let alive = proto.alive_ids();
+        let n = alive.len();
+        alive.iter().enumerate().all(|(i, &id)| {
+            let expected = (1..=8.min(n - 1)).map(|k| alive[(i + k) % n]).collect();
+            proto.successor_list_of(id) == Some(expected)
+        })
+    };
+    let mut stepped = 0;
+    while !lists_settled(&twin.stepped.0) {
+        assert!(stepped < 1_000, "links settle within 1,000 ticks");
+        stepped += 10;
+        twin.both(|proto, sched| {
+            let deadline = sched.now() + 10;
+            run_until(proto, sched, deadline);
+        });
+    }
+    assert!(stale_fingers(&twin.skipped.0) > 0, "fingers settle last");
+
+    for ticks in [30, 60, 31, 90, 29, 120] {
+        twin.maintain(ticks).unwrap();
+    }
+    assert!(
+        stale_fingers(&twin.skipped.0) > 0,
+        "the short jumps ran with fingers still stale"
+    );
+
+    let (mut proto, mut sched) = twin.skipped;
+    let deadline = sched.now() + TICKS;
+    let (firings, fix_firings, last) = closed_form_counts(&sched, deadline);
+    let lookups = proto.lookups_issued();
+    let outcome = run_maintenance(&mut proto, &mut sched, deadline);
+    assert_eq!(outcome, (StepOutcome::DeadlineReached, firings));
+    assert_eq!(proto.lookups_issued(), lookups + fix_firings);
+    assert_eq!(sched.now(), last);
+    assert_eq!(stale_fingers(&proto), 0, "every finger at its oracle owner");
 }
 
 /// The default timers' period: 10 ticks for stabilize, 15 for
