@@ -1,8 +1,7 @@
 //! Trial-throughput benches for the zero-rebuild engine: full Monte
 //! Carlo trials (overlay build, attack, routing) per transport and
-//! overlay size. The companion `bench_baseline` binary measures the
-//! same workloads against the allocating reference construction and
-//! writes the machine-readable `BENCH_trials.json`.
+//! overlay size. The repository's benchmark, with repeated runs and
+//! committed medians, is `bench/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sos_core::{AttackBudget, AttackConfig, MappingDegree, Scenario, SystemParams};

@@ -86,8 +86,8 @@ pub fn ablation_scenario(mapping: MappingDegree) -> Scenario {
 /// Panels overlap deliberately (panel 2's direct series equals panel
 /// 1's random-good series; panel 3's zero-loss series equals both),
 /// exactly as real figure families share their baseline points, so the
-/// sweep executor's intra-run dedup is exercised. Shared by
-/// `bench_baseline`'s sweep workload and `sos profile`'s `grid`
+/// sweep executor's intra-run dedup is exercised. Shared by the
+/// `sweep-grid` workload in `bench/` and `sos profile`'s `grid`
 /// workload, so the profiled shape is the benchmarked shape.
 pub fn profile_grid(opts: AblationOptions) -> Vec<SimulationConfig> {
     let budgets = [0u64, 40, 80, 120, 160, 200];

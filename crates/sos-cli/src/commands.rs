@@ -92,7 +92,7 @@ SIMULATE FLAGS:
 PROFILE FLAGS (plus --progress/--telemetry-out/--threads and, for the
 simulate workload, every shared + simulate flag above):
     --workload W         grid | simulate: the 42-point ablation-shaped
-                         sweep grid (the bench_baseline sweep workload)
+                         sweep grid (the sweep-grid bench workload)
                          or a single simulate-shaped run   [grid]
     --trials T           (grid) attacked overlays per point [2]
     --routes K           (grid) routes per trial            [20]

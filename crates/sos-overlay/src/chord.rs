@@ -29,7 +29,6 @@
 use crate::bitset::NodeBitSet;
 use crate::node::NodeId;
 use rand::Rng;
-use std::collections::HashSet;
 
 /// Bits in the identifier space (and maximum finger-table size).
 pub const ID_BITS: usize = 64;
@@ -78,8 +77,8 @@ pub struct ChordRing {
 /// uniform `u64` draws have probability ≈ `n²/2⁶⁵` (≈ 5·10⁻¹² at
 /// n = 10⁴), but determinism demands a defined resolution: any id equal
 /// to its sorted predecessor is re-rolled and the sort repeated until
-/// all are distinct. [`ChordRing::build_into`] and
-/// [`ChordRing::build_reference`] share this helper so their RNG
+/// all are distinct. [`ChordRing::build_into`] and the unit tests'
+/// `ChordRing::build_reference` share this helper so their RNG
 /// consumption stays draw-for-draw identical.
 fn draw_ring_ids<R: Rng + ?Sized>(rng: &mut R, members: &[NodeId], pairs: &mut Vec<(u64, NodeId)>) {
     pairs.clear();
@@ -443,15 +442,14 @@ impl ChordRing {
     /// built the original way, freshly allocated. `fingers[pos]` holds
     /// the position of `successor(ids[pos] + 2^k)` for every `k`
     /// (consecutive repeats removed) and `successors[pos]` the next
-    /// `min(SUCCESSOR_LIST_LEN, n - 1)` positions. Also the "before"
-    /// cost model of the perf baseline.
-    #[doc(hidden)]
-    pub fn build_reference<R: Rng + ?Sized>(
+    /// `min(SUCCESSOR_LIST_LEN, n - 1)` positions.
+    #[cfg(test)]
+    fn build_reference<R: Rng + ?Sized>(
         rng: &mut R,
         members: &[NodeId],
     ) -> (Self, Vec<Vec<usize>>, Vec<Vec<usize>>) {
         assert!(!members.is_empty(), "a Chord ring needs at least one node");
-        let unique: HashSet<_> = members.iter().collect();
+        let unique: std::collections::HashSet<_> = members.iter().collect();
         assert_eq!(unique.len(), members.len(), "duplicate members");
 
         let mut pairs: Vec<(u64, NodeId)> = Vec::new();
@@ -633,6 +631,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     fn ring(n: u32, seed: u64) -> ChordRing {
         let members: Vec<NodeId> = (0..n).map(NodeId).collect();

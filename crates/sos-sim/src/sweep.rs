@@ -46,7 +46,7 @@
 //! Use the process-global executor via [`run_sweep`] /
 //! [`set_global_cache`] (or the `SOS_SWEEP_CACHE` environment
 //! variable), or construct a private [`SweepExecutor`] for isolated
-//! thread counts and caches (as `bench_baseline` and the tests do).
+//! thread counts and caches (as `bench/` and the tests do).
 //!
 //! [`Simulation::run_parallel`]: crate::engine::Simulation::run_parallel
 

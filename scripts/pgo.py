@@ -4,16 +4,17 @@
 Four stages, each a plain cargo/rustc invocation:
 
   1. build the workspace release binaries with `-Cprofile-generate`,
-  2. run `bench_baseline` (the committed perf workload set) plus the
+  2. run `full_report` (every paper figure and extension) plus the
      routing and congestion ablation binaries (`ablation_routing`,
      `fig4a`) so the instrumented binaries write `.profraw` counters
-     covering the batched route-evaluation and congestion kernels,
+     covering the whole report, the batched route-evaluation kernel
+     and the congestion phase,
   3. merge the counters with `llvm-profdata` into one `.profdata`,
-  4. rebuild with `-Cprofile-use` and verify the optimized binary is
-     *observationally identical* to a plain release build: the
-     deterministic replay workload (`ext_faults --quick`) and the
-     delivery counts inside the fresh `BENCH_trials` JSON must match
-     byte for byte.  PGO may only move time, never results.
+  4. rebuild with `-Cprofile-use` and verify the optimized binaries are
+     *observationally identical* to a plain release build: every file
+     `full_report` writes (except `manifest.json`, which holds timings)
+     and the deterministic replay output (`ext_faults --quick`) must
+     match byte for byte.  PGO may only move time, never results.
 
 The script needs `llvm-profdata` (rustup: `rustup component add
 llvm-tools`, or any system LLVM).  When the tool is absent the script
@@ -28,7 +29,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import subprocess
@@ -39,19 +39,12 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 # Workloads whose *results* (not timings) must survive PGO unchanged.
 REPLAY_BIN = "ext_faults"
-BENCH_BIN = "bench_baseline"
+REPORT_BIN = "full_report"
 # Extra profiling-only workloads: the routing-policy ablation and the
-# pure-congestion one-burst figure, so the merged profile covers the
-# batched route-evaluation kernel and the congestion phase, not just
-# the bench_baseline mix.
+# pure-congestion one-burst figure, so the merged profile weighs the
+# batched route-evaluation kernel and the congestion phase beyond their
+# share of the report.
 PROFILE_BINS = ("ablation_routing", "fig4a")
-# Result-bearing keys inside a BENCH_trials workload row.  Timing keys
-# (before/after/speedup/phases) legitimately change under PGO; these
-# must not.  `build_reused` is deliberately absent: with more than one
-# worker it counts which worker claimed which trial (a memo hit needs
-# the same worker to see the same trial index twice), so two identical
-# runs can differ without any result changing.
-RESULT_KEYS = ("name", "trials", "threads")
 
 
 def run(cmd: list[str], *, env: dict[str, str] | None = None,
@@ -88,31 +81,36 @@ def cargo_build(target_dir: Path, rustflags: str) -> Path:
     env["CARGO_TARGET_DIR"] = str(target_dir)
     env["RUSTFLAGS"] = rustflags
     cmd = ["cargo", "build", "--release", "-p", "sos-bench",
-           "--bin", BENCH_BIN, "--bin", REPLAY_BIN]
+           "--bin", REPORT_BIN, "--bin", REPLAY_BIN]
     for b in PROFILE_BINS:
         cmd += ["--bin", b]
     run(cmd, env=env)
     return target_dir / "release"
 
 
-def result_view(bench_json: Path) -> str:
-    """Project a BENCH_trials document onto its result-bearing fields.
-
-    Timings differ run to run (that is the point of PGO); trial and
-    thread counts are fixed by the workloads and must not.
-    """
-    doc = json.loads(bench_json.read_text())
-    rows = [{k: w[k] for k in RESULT_KEYS if k in w}
-            for w in doc.get("workloads", [])]
-    return json.dumps(rows, sort_keys=True, indent=1)
+def run_report(bindir: Path, out_dir: Path) -> None:
+    """Run `full_report` into `out_dir`, every sweep executed: a sweep
+    cache named in the environment would answer both builds alike."""
+    env = {k: v for k, v in os.environ.items() if k != "SOS_SWEEP_CACHE"}
+    run([str(bindir / REPORT_BIN), str(out_dir)], env=env)
 
 
-def run_workloads(bindir: Path, tag: str, scratch: Path) -> tuple[bytes, str]:
-    """Run the verification workloads; return (replay stdout, results)."""
+def differing_files(a: Path, b: Path) -> list[str]:
+    """Names of the files that are in only one of two `full_report`
+    output directories or whose bytes differ, `manifest.json` aside."""
+    names = {p.name for p in a.iterdir()} | {p.name for p in b.iterdir()}
+    names.discard("manifest.json")  # timings, not results
+    return sorted(n for n in names
+                  if not (a / n).is_file() or not (b / n).is_file()
+                  or (a / n).read_bytes() != (b / n).read_bytes())
+
+
+def run_workloads(bindir: Path, tag: str, scratch: Path) -> tuple[bytes, Path]:
+    """Run the verification workloads; return (replay stdout, report dir)."""
     replay = run([str(bindir / REPLAY_BIN), "--quick"], capture=True)
-    bench_out = scratch / f"BENCH_trials.{tag}.json"
-    run([str(bindir / BENCH_BIN), "--out", str(bench_out)])
-    return replay.stdout, result_view(bench_out)
+    report_dir = scratch / f"report.{tag}"
+    run_report(bindir, report_dir)
+    return replay.stdout, report_dir
 
 
 def main() -> int:
@@ -147,16 +145,15 @@ def main() -> int:
     try:
         # Stage 0: the plain release reference the PGO build must match.
         plain_dir = cargo_build(target_dir / "plain", "")
-        plain_replay, plain_results = run_workloads(
+        plain_replay, plain_report = run_workloads(
             plain_dir, "plain", scratch)
 
-        # Stage 1+2: instrumented build, then profile the bench workloads
-        # plus the routing/congestion ablations (output discarded — only
+        # Stage 1+2: instrumented build, then profile the report plus
+        # the routing/congestion ablations (output discarded — only
         # their execution profile matters here).
         gen_dir = cargo_build(
             target_dir / "gen", f"-Cprofile-generate={profraw_dir}")
-        run([str(gen_dir / BENCH_BIN), "--out",
-             str(scratch / "BENCH_trials.profiled.json")])
+        run_report(gen_dir, scratch / "report.profiled")
         for b in PROFILE_BINS:
             run([str(gen_dir / b)], capture=True)
         raws = sorted(profraw_dir.glob("*.profraw"))
@@ -185,21 +182,21 @@ def main() -> int:
         # Stage 4: optimized build, then the identity check.
         use_dir = cargo_build(
             target_dir / "use", f"-Cprofile-use={profdata}")
-        pgo_replay, pgo_results = run_workloads(use_dir, "pgo", scratch)
+        pgo_replay, pgo_report = run_workloads(use_dir, "pgo", scratch)
 
         if pgo_replay != plain_replay:
             print("pgo: ext_faults replay output differs from the plain "
                   "release build — PGO changed results", file=sys.stderr)
             return 1
-        if pgo_results != plain_results:
-            print("pgo: bench workload results differ from the plain "
-                  "release build — PGO changed results", file=sys.stderr)
-            print(f"plain:\n{plain_results}\npgo:\n{pgo_results}",
+        differing = differing_files(plain_report, pgo_report)
+        if differing:
+            print("pgo: full_report output differs from the plain release "
+                  f"build in {', '.join(differing)} — PGO changed results",
                   file=sys.stderr)
             return 1
 
-        print("pgo: optimized binary is byte-identical on the replay and "
-              f"bench workloads ({len(raws)} profile(s) merged)")
+        print("pgo: optimized binaries are byte-identical on the replay "
+              f"and full_report outputs ({len(raws)} profile(s) merged)")
         print(f"pgo: optimized binaries left in {use_dir}")
         return 0
     finally:

@@ -5,11 +5,18 @@
 //! per-chunk accumulation of outcomes and events — decides every
 //! number here. Both transports, all three routing policies, and runs
 //! with and without benign faults are covered. How the engine chunks
-//! routes may change; none of these digests may.
+//! routes may change; none of these digests may. The last test checks
+//! the engine's delivered counts against a plain trial loop that
+//! rebuilds everything per trial.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sos::attack::OneBurstAttacker;
 use sos::core::{AttackBudget, AttackConfig, MappingDegree, Scenario, SystemParams};
+use sos::overlay::{ChordRing, NodeId, Overlay, Transport};
 use sos::sim::engine::{Simulation, SimulationConfig, TransportKind};
-use sos::sim::routing::RoutingPolicy;
+use sos::sim::routing::{self, RouteCtx, RouteScratch, RoutingPolicy};
+use sos::sim::{route_lane_seed, stream, trial_stream_seed};
 use sos_faults::FaultConfig;
 
 fn fnv(bytes: &[u8]) -> u64 {
@@ -118,4 +125,68 @@ fn parallel_traced_runs_are_pinned() {
         got, 0x0ad0_37f8_02e5_5175,
         "digest moved: {got:#x} for {json}"
     );
+}
+
+/// The engine against a hand-written trial loop: every trial builds a
+/// fresh overlay and ring, attacks, and routes each message with the
+/// scalar `routing::route`, drawing from the engine's own per-trial
+/// and per-route streams. The engine reuses its scratch, memoizes
+/// builds and routes in batched lanes; none of that may change which
+/// routes deliver or how many underlay hops they take (the Chord
+/// ring's ids decide the latter).
+#[test]
+fn engine_matches_a_fresh_build_trial_loop() {
+    const SEED: u64 = 13;
+    const TRIALS: u64 = 4;
+    const ROUTES: u64 = 50;
+    let scenario = Scenario::builder()
+        .system(SystemParams::new(1_000, 100, 0.5).unwrap())
+        .layers(3)
+        .mapping(MappingDegree::OneTo(5))
+        .filters(10)
+        .build()
+        .unwrap();
+    let budget = AttackBudget::new(100, 100);
+    for kind in [TransportKind::Direct, TransportKind::Chord] {
+        let (mut delivered, mut hops) = (0u64, 0usize);
+        for trial in 0..TRIALS {
+            let rng = |tag| StdRng::seed_from_u64(trial_stream_seed(SEED, tag, trial));
+            let mut overlay = Overlay::build(&scenario, &mut rng(stream::OVERLAY_BUILD));
+            let mut transport = match kind {
+                TransportKind::Direct => Transport::Direct,
+                TransportKind::Chord => {
+                    let members: Vec<NodeId> = overlay.overlay_ids().collect();
+                    Transport::Chord(ChordRing::build(&mut rng(stream::RING_BUILD), &members))
+                }
+            };
+            OneBurstAttacker::new(budget).execute(&mut overlay, &mut rng(stream::ATTACK));
+            transport.sync_damage(&overlay);
+            let ctx = RouteCtx::new(&overlay, &transport, RoutingPolicy::default());
+            for route in 0..ROUTES {
+                let mut route_rng = StdRng::seed_from_u64(route_lane_seed(SEED, trial, route));
+                let mut scratch = RouteScratch::new();
+                let result = routing::route(&ctx, &mut route_rng, &mut scratch);
+                if result.delivered {
+                    delivered += 1;
+                    hops += result.underlay_hops;
+                }
+            }
+        }
+        let cfg = SimulationConfig::new(scenario.clone(), AttackConfig::OneBurst { budget })
+            .transport(kind)
+            .trials(TRIALS)
+            .routes_per_trial(ROUTES)
+            .seed(SEED);
+        for (name, result) in [
+            ("run", Simulation::new(cfg.clone()).run()),
+            ("run_parallel", Simulation::new(cfg).run_parallel(2)),
+        ] {
+            assert_eq!(result.successes, delivered, "{kind:?} {name}");
+            let engine_hops = result.mean_underlay_hops * delivered as f64;
+            assert!(
+                (engine_hops - hops as f64).abs() < 1e-6,
+                "{kind:?} {name}: {engine_hops} underlay hops, loop took {hops}"
+            );
+        }
+    }
 }

@@ -12,7 +12,7 @@ use sos::core::{AttackBudget, AttackConfig, MappingDegree, Scenario, SystemParam
 use sos::sim::engine::{Simulation, SimulationConfig, SimulationResult, TransportKind};
 use sos::sim::routing::RoutingPolicy;
 use sos::sim::SweepExecutor;
-use sos_observe::telemetry;
+use sos_observe::telemetry::{self, PhaseKind};
 use sos_observe::{ProgressReporter, ReporterOptions};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -133,7 +133,7 @@ proptest! {
 
 /// Telemetry counters actually move while the guarantee holds: the
 /// plane is live (not accidentally compiled out) during the identical
-/// runs above.
+/// runs above, and every engine phase gets its wall clock attributed.
 #[test]
 fn telemetry_counters_advance_during_instrumented_runs() {
     let cfg = SimulationConfig::new(
@@ -159,6 +159,14 @@ fn telemetry_counters_advance_during_instrumented_runs() {
         after.routes >= before.routes + 40,
         "route counter did not advance"
     );
+    assert_eq!(after.phases.len(), PhaseKind::ALL.len());
+    for (was, now) in before.phases.iter().zip(&after.phases) {
+        assert!(
+            now.total_ns > was.total_ns,
+            "{} phase total did not advance",
+            now.phase.label()
+        );
+    }
 }
 
 /// `pool_map` jobs are not trials: running them on the global pool

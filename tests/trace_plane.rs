@@ -19,11 +19,13 @@ use proptest::prelude::*;
 use sos::core::{AttackBudget, AttackConfig, MappingDegree, Scenario, SystemParams};
 use sos::sim::engine::{Simulation, SimulationConfig, SimulationResult, TransportKind};
 use sos::sim::routing::RoutingPolicy;
-use sos::sim::SweepExecutor;
+use sos::sim::{num_threads, SweepExecutor};
+use sos_bench::ablations;
 use sos_observe::telemetry;
 use sos_observe::trace;
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// The enable flag is process-global; tests in this binary serialize
 /// on it so one test's `set_enabled(false)` cannot race another's
@@ -161,6 +163,79 @@ fn trace_plane_records_spans_during_instrumented_sweep() {
             spans.iter().map(|s| s.name.as_str()).collect::<Vec<_>>()
         );
     }
+}
+
+/// What each observability plane costs on the 42-point profiling grid
+/// (`sos_bench::ablations::profile_grid`, 2 trials and 20 routes per
+/// point, seed 13), each run on a fresh all-core executor. Each plane
+/// is timed in off/on pairs, which side runs first alternating from
+/// pair to pair, and the bound is on the ratio of the medians,
+/// median(off) / median(on):
+///
+/// * telemetry (flight recorder off): at least 0.776, three quarters of
+///   the 1.034 the grid once measured;
+/// * flight recorder (telemetry on for both sides): at least 0.98.
+///
+/// Every run must deliver the same per-point counts. A timing test, so
+/// it is ignored by default; run it with
+/// `cargo test --release --test trace_plane -- --ignored --nocapture`.
+#[test]
+#[ignore = "timing test; run in release"]
+fn observability_planes_cost_little_on_the_sweep_grid() {
+    const PAIRS: usize = 31;
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let configs = ablations::profile_grid(ablations::AblationOptions {
+        trials: 2,
+        routes_per_trial: 20,
+        seed: 13,
+    });
+    let threads = num_threads();
+    let run_once = || {
+        let start = Instant::now();
+        let results = SweepExecutor::with_threads(threads).run(&configs);
+        let secs = start.elapsed().as_secs_f64();
+        (results.iter().map(|r| r.successes).collect::<Vec<u64>>(), secs)
+    };
+    let expected = run_once().0;
+    let median = |mut secs: Vec<f64>| {
+        secs.sort_by(f64::total_cmp);
+        secs[secs.len() / 2]
+    };
+    // Median wall seconds with the plane off and on.
+    let medians = |set_plane: &dyn Fn(bool)| {
+        let mut secs = [Vec::new(), Vec::new()];
+        for pair in 0..=PAIRS {
+            for on in [pair % 2 == 1, pair % 2 == 0] {
+                set_plane(on);
+                let (successes, s) = run_once();
+                assert_eq!(successes, expected, "results changed with the plane on={on}");
+                // Pair 0 is the warm-up.
+                if pair > 0 {
+                    secs[usize::from(on)].push(s);
+                }
+            }
+        }
+        let [off, on] = secs;
+        (median(off), median(on))
+    };
+    trace::set_enabled(false);
+    let (tele_off, tele_on) = medians(&telemetry::set_enabled);
+    telemetry::set_enabled(true);
+    let (rec_off, rec_on) = medians(&trace::set_enabled);
+    trace::set_enabled(false);
+    telemetry::set_enabled(false);
+    eprintln!(
+        "telemetry: off {:.2} ms, on {:.2} ms, ratio {:.3}; flight recorder: off {:.2} ms, \
+         on {:.2} ms, ratio {:.3} ({threads} workers, {PAIRS} pairs)",
+        tele_off * 1e3,
+        tele_on * 1e3,
+        tele_off / tele_on,
+        rec_off * 1e3,
+        rec_on * 1e3,
+        rec_off / rec_on,
+    );
+    assert!(tele_off / tele_on >= 0.776, "telemetry costs more than its bound");
+    assert!(rec_off / rec_on >= 0.98, "the flight recorder costs more than 2%");
 }
 
 /// A metric name the Prometheus text format accepts (the exposition
