@@ -113,42 +113,71 @@ fn bench_chord_protocol(c: &mut Criterion) {
             black_box(proto.convergence_fraction())
         })
     });
-    // `ext-staleness` sizing: a short successor list, maintenance for
-    // 25 ticks after every 8th join, then 3,000 ticks of settling.
     group.bench_function("converge-400-ring", |b| {
+        b.iter(|| black_box(staleness_sized_ring().0.convergence_fraction()))
+    });
+    // The attack kills 45% of the converged ring and no maintenance has
+    // run yet: pointers are stale, and some lookups circle a loop of
+    // them until the hop budget runs out.
+    let (mut proto, ids) = staleness_sized_ring();
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut killed = HashSet::new();
+    while killed.len() < ids.len() * 45 / 100 {
+        let victim = ids[rng.gen_range(0..ids.len())];
+        if killed.insert(victim) {
+            proto.kill(victim);
+        }
+    }
+    let alive = proto.alive_ids();
+    let lookups: Vec<(u64, u64)> = (0..1_000)
+        .map(|_| (alive[rng.gen_range(0..alive.len())], rng.gen()))
+        .collect();
+    group.bench_function("lookups-after-mass-kill", |b| {
         b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(7);
-            let cfg = ProtocolConfig {
-                successor_list_len: 3,
-                ..ProtocolConfig::default()
-            };
-            let mut proto = ChordProtocol::new(cfg);
-            let mut sched = Scheduler::new();
-            let mut ids = Vec::with_capacity(400);
-            let mut used = HashSet::with_capacity(400);
-            for i in 0..400u32 {
-                let mut id = rng.gen::<u64>();
-                while !used.insert(id) {
-                    id = rng.gen::<u64>();
-                }
-                ids.push(id);
-                if i == 0 {
-                    proto.bootstrap(id, NodeId(i), &mut sched);
-                } else {
-                    let via = ids[rng.gen_range(0..i as usize)];
-                    proto.join(id, NodeId(i), via, &mut sched);
-                    if i % 8 == 0 {
-                        let now = sched.now();
-                        run_maintenance(&mut proto, &mut sched, now + 25);
-                    }
-                }
-            }
-            let now = sched.now();
-            run_maintenance(&mut proto, &mut sched, now + 3_000);
-            black_box(proto.convergence_fraction())
+            black_box(
+                lookups
+                    .iter()
+                    .filter(|&&(from, key)| proto.lookup_with_hops(from, key, None).is_some())
+                    .count(),
+            )
         })
     });
     group.finish();
+}
+
+/// `ext-staleness` sizing: 400 nodes with a short successor list,
+/// maintenance for 25 ticks after every 8th join, then 3,000 ticks of
+/// settling. Returns the ring and its ids in join order.
+fn staleness_sized_ring() -> (ChordProtocol, Vec<u64>) {
+    let mut rng = StdRng::seed_from_u64(7);
+    let cfg = ProtocolConfig {
+        successor_list_len: 3,
+        ..ProtocolConfig::default()
+    };
+    let mut proto = ChordProtocol::new(cfg);
+    let mut sched = Scheduler::new();
+    let mut ids = Vec::with_capacity(400);
+    let mut used = HashSet::with_capacity(400);
+    for i in 0..400u32 {
+        let mut id = rng.gen::<u64>();
+        while !used.insert(id) {
+            id = rng.gen::<u64>();
+        }
+        ids.push(id);
+        if i == 0 {
+            proto.bootstrap(id, NodeId(i), &mut sched);
+        } else {
+            let via = ids[rng.gen_range(0..i as usize)];
+            proto.join(id, NodeId(i), via, &mut sched);
+            if i % 8 == 0 {
+                let now = sched.now();
+                run_maintenance(&mut proto, &mut sched, now + 25);
+            }
+        }
+    }
+    let now = sched.now();
+    run_maintenance(&mut proto, &mut sched, now + 3_000);
+    (proto, ids)
 }
 
 fn bench_flow_model(c: &mut Criterion) {

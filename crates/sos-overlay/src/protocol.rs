@@ -23,7 +23,10 @@
 //! Lookups route iteratively through whatever (possibly stale) state
 //! nodes currently hold, so convergence can be *measured*: see
 //! [`ChordProtocol::is_converged`] and the tests, which compare against
-//! the oracle ring after every scenario.
+//! the oracle ring after every scenario. A lookup without a fault plan
+//! that circles a loop of stale pointers is detected and ended in closed
+//! form, with the owner and hop count that stepping out its hop budget
+//! gives.
 //!
 //! Once every successor list and predecessor equals the oracle ring's,
 //! the links are a fixed point of maintenance and each fix-fingers
@@ -387,18 +390,41 @@ impl ChordProtocol {
     }
 
     /// The iterative lookup behind [`lookup_with_hops`](Self::lookup_with_hops),
-    /// from a known slot.
+    /// from a known slot. Every step costs one hop, so `hops` counts
+    /// the steps taken.
+    ///
+    /// Without a fault plan a step is a pure function of `current` (the
+    /// key and the protocol state are fixed for the lookup), so a lookup
+    /// that revisits a slot has entered a cycle it never leaves. Brent's
+    /// method finds the cycle with one anchor, moved to `current` at
+    /// each power-of-two step: when `current` meets the anchor, the gap
+    /// is a period. Skipping whole periods lands on the slot that
+    /// stepping would reach after them, so the lookup jumps to the last
+    /// period before `max_hops` and steps the rest. With a plan every
+    /// step draws a misroute, so the lookup steps every hop.
     fn route(&self, from: Slot, key: u64, plan: Option<&FaultPlan>) -> Option<(Slot, usize)> {
         self.lookups_issued.set(self.lookups_issued.get() + 1);
+        let max_hops = self.max_hops();
         let mut current = from;
         let mut hops = 0usize;
-        for _ in 0..self.max_hops() {
-            // Byzantine misroute: the step went to the wrong node and
-            // has to be reissued — a wasted hop, no progress.
+        let (mut anchor, mut anchor_hops) = (from, 0usize);
+        while hops < max_hops {
             if let Some(p) = plan {
+                // Byzantine misroute: the step went to the wrong node and
+                // has to be reissued — a wasted hop, no progress.
                 if p.draw_misroute() {
                     hops += 1;
                     continue;
+                }
+            } else if hops > 0 {
+                // Brent's check (at step 0 `current` is the anchor).
+                if current == anchor {
+                    // Skip whole periods, short of the budget so that
+                    // this step still runs.
+                    let period = hops - anchor_hops;
+                    hops += (max_hops - 1 - hops) / period * period;
+                } else if hops.is_power_of_two() {
+                    (anchor, anchor_hops) = (current, hops);
                 }
             }
             match self.first_usable_successor(current, plan) {
@@ -425,12 +451,17 @@ impl ChordProtocol {
             }
             hops += 1;
         }
-        // Routing loop among stale pointers — report the best guess.
+        // Out of hops. Without a plan the lookup took more steps than
+        // there are slots, so it is circling a loop of stale pointers;
+        // report the best guess from where the budget ran out.
         self.first_usable_successor(current, plan).map(|o| (o, hops))
     }
 
-    /// n nodes is a hard bound for greedy progress; stale pointers can
-    /// cause short non-progress bounces, so allow slack.
+    /// The hop budget, over n slots (dead ones included). Greedy
+    /// progress needs fewer than n hops. By pigeonhole, a plan-free
+    /// lookup that spends more than n hops has revisited a slot, so it
+    /// is in a cycle and [`route`](Self::route) ends it in closed form.
+    /// With a plan, misrouted steps also spend hops, hence the slack.
     fn max_hops(&self) -> usize {
         2 * self.nodes.len() + ID_BITS
     }

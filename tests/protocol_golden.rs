@@ -26,6 +26,18 @@ fn digest_ids(ids: &[u64]) -> u64 {
     fnv1a64(&bytes)
 }
 
+/// Digest of lookup results, each `[1, owner, hops]` or `[0]`.
+fn digest_results(results: &[Option<(u64, usize)>]) -> u64 {
+    let out: Vec<u64> = results
+        .iter()
+        .flat_map(|r| match *r {
+            Some((owner, hops)) => vec![1, owner, hops as u64],
+            None => vec![0],
+        })
+        .collect();
+    digest_ids(&out)
+}
+
 /// A ring of `RING` nodes with short successor lists, joined one by one
 /// with maintenance interleaved between joins.
 fn seeded_ring() -> (ChordProtocol, Scheduler<MaintenanceEvent>, Vec<u64>, StdRng) {
@@ -148,16 +160,9 @@ fn lookup_results_are_pinned() {
         results.push(proto.successor_walk(from, key, None));
     }
     let found = results.iter().filter(|r| r.is_some()).count();
-    let out: Vec<u64> = results
-        .iter()
-        .flat_map(|r| match *r {
-            Some((owner, hops)) => vec![1, owner, hops as u64],
-            None => vec![0],
-        })
-        .collect();
     let summary = (
         found,
-        digest_ids(&out),
+        digest_results(&results),
         proto.lookups_issued(),
         plan.misroute_draws(),
     );
@@ -167,6 +172,35 @@ fn lookup_results_are_pinned() {
 /// `(results found, digest of all results, lookups issued, misroute
 /// draws)`.
 const PINNED_LOOKUPS: (usize, u64, u64, u64) = (1176, 0x0d9da1b7256a47de, 10077, 1864);
+
+#[test]
+fn lookups_right_after_a_mass_kill_are_pinned() {
+    let (mut proto, _sched, ids, mut rng) = seeded_ring();
+    for &victim in ids.iter().step_by(2) {
+        proto.kill(victim);
+    }
+    // No maintenance: half the pointers name dead members, and some
+    // lookups circle stale pointers until the hop budget runs out.
+    let max_hops = 2 * RING + 64;
+    let mut results: Vec<Option<(u64, usize)>> = Vec::new();
+    for _ in 0..300 {
+        let key = rng.gen::<u64>();
+        let from = ids[rng.gen_range(0..ids.len())];
+        results.push(proto.lookup_with_hops(from, key, None));
+    }
+    let exhausted = results
+        .iter()
+        .filter(|r| matches!(r, Some((_, hops)) if *hops == max_hops))
+        .count();
+    assert!(exhausted >= 10, "only {exhausted} lookups ran out of hops");
+    let found = results.iter().filter(|r| r.is_some()).count();
+    let summary = (found, digest_results(&results), proto.lookups_issued());
+    assert_eq!(summary, PINNED_AFTER_MASS_KILL, "{exhausted} exhausted");
+}
+
+/// `(results found, digest of all results, lookups issued)` for plan-free
+/// lookups on the seeded ring with every second member dead.
+const PINNED_AFTER_MASS_KILL: (usize, u64, u64) = (204, 0xa566b35cc2ab3494, 9705);
 
 #[test]
 fn protocol_report_sections_are_pinned() {
