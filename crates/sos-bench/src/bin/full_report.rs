@@ -7,12 +7,12 @@
 //! ```
 //!
 //! Defaults to `./data`. Monte Carlo experiments use the default
-//! ablation sizing (100 trials × 100 routes, seed 42), so the whole
-//! run finishes in a few minutes and is reproducible bit for bit. All
-//! Monte Carlo sweeps go through `sos_sim::run_sweep`; with `--cache`
-//! (or `SOS_SWEEP_CACHE`) pointing at a persistent cache file, a re-run
-//! after an analytic-only change reuses every simulated point and the
-//! CSVs stay byte-identical.
+//! ablation sizing (100 trials × 100 routes, seed 42); the whole run
+//! takes well under a second on two cores and is reproducible bit for
+//! bit. All Monte Carlo sweeps go through `sos_sim::run_sweep`; with
+//! `--cache` (or, without it, `SOS_SWEEP_CACHE`) pointing at a
+//! persistent cache file, a re-run after an analytic-only change reuses
+//! every simulated point and the CSVs stay byte-identical.
 
 use sos_bench::ablations::{self, AblationOptions};
 use sos_bench::figures;
@@ -22,20 +22,23 @@ use std::path::PathBuf;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut dir: PathBuf = PathBuf::from("data");
+    let mut cache = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--cache" {
-            let path = args
-                .next()
-                .ok_or("--cache expects a file path")?;
-            let loaded = sos_sim::set_global_cache(&path)?;
-            eprintln!("sweep cache {path}: {loaded} entries loaded");
+            cache = Some(args.next().ok_or("--cache expects a file path")?);
         } else if let Some(path) = arg.strip_prefix("--cache=") {
-            let loaded = sos_sim::set_global_cache(path)?;
-            eprintln!("sweep cache {path}: {loaded} entries loaded");
+            cache = Some(path.to_string());
         } else {
             dir = arg.into();
         }
+    }
+    // `--cache` wins over the environment.
+    if let Some(path) =
+        cache.or_else(|| std::env::var("SOS_SWEEP_CACHE").ok().filter(|p| !p.is_empty()))
+    {
+        let loaded = sos_sim::set_global_cache(&path)?;
+        eprintln!("sweep cache {path}: {loaded} entries loaded");
     }
     fs::create_dir_all(&dir)?;
     // Live telemetry for the whole suite: the manifest embeds the
@@ -154,6 +157,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("wrote trace-paper-intelligent ({} events)", events.len());
     }
 
+    sos_sim::persist_global_cache();
     // Manifest, including how much work the sweep executor actually
     // did vs answered from its cache/dedup layers.
     let sweep = sos_sim::sweep_stats();

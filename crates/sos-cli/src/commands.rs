@@ -121,7 +121,8 @@ FIGURE FLAGS:
     --cache F            persistent sweep-result cache file: Monte Carlo
                          families answer repeated points from F instead
                          of re-simulating (byte-identical CSV output);
-                         created on first use (env: SOS_SWEEP_CACHE)
+                         created on first use (env: SOS_SWEEP_CACHE;
+                         --cache wins)
     --trials T           (Monte Carlo families) attacked overlays [100]
     --routes K           (Monte Carlo families) routes per trial  [100]
     --seed S             (Monte Carlo families) master seed       [42]
@@ -675,7 +676,9 @@ fn profile(
             let results = if let Some(path) = cache {
                 let loaded = sos_sim::set_global_cache(&path)?;
                 eprintln!("sweep cache {path}: {loaded} entries loaded");
-                sos_sim::run_sweep(&configs)
+                let results = sos_sim::run_sweep(&configs);
+                sos_sim::persist_global_cache();
+                results
             } else if let Some(t) = threads {
                 sos_sim::SweepExecutor::with_threads(t).run(&configs)
             } else {
@@ -1162,7 +1165,10 @@ fn figure(
     args: &ParsedArgs,
     out: &mut dyn std::io::Write,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let cache = args.get("cache").map(str::to_string);
+    let cache = args
+        .get("cache")
+        .map(str::to_string)
+        .or_else(|| std::env::var("SOS_SWEEP_CACHE").ok().filter(|p| !p.is_empty()));
     let trials = args.get_or("trials", 100u64)?;
     let routes = args.get_or("routes", 100u64)?;
     let seed = args.get_or("seed", 42u64)?;
@@ -1172,10 +1178,10 @@ fn figure(
         .get(1)
         .map(String::as_str)
         .ok_or_else(|| ArgError("figure requires a name (e.g. `sos figure fig4a`)".into()))?;
-    if let Some(path) = cache {
+    if let Some(path) = &cache {
         // Stderr, not `out`: the CSV on stdout must stay byte-identical
         // between cold and warm cache runs (CI asserts exactly that).
-        let loaded = sos_sim::set_global_cache(&path)?;
+        let loaded = sos_sim::set_global_cache(path)?;
         eprintln!("sweep cache {path}: {loaded} entries loaded");
     }
     use sos_bench::{ablations, figures};
@@ -1201,6 +1207,9 @@ fn figure(
         "ext-monitoring" => vec![ablations::monitoring_extension(opts)],
         other => return Err(ArgError(format!("unknown figure `{other}`")).into()),
     };
+    if cache.is_some() {
+        sos_sim::persist_global_cache();
+    }
     for t in tables {
         writeln!(out, "{t}")?;
     }

@@ -194,25 +194,6 @@ pub enum EventKind {
         /// Whether the degraded mode delivered the hop.
         recovered: bool,
     },
-    /// The sweep executor (`sos-sim`) dispatched a sweep point for
-    /// execution. The enclosing [`Event::trial`] carries the point
-    /// index within the sweep.
-    SweepPointStart {
-        /// 0-based point index within the sweep call.
-        point: u64,
-        /// Content fingerprint of the point's configuration.
-        fingerprint: u64,
-        /// Monte Carlo trials the point will run.
-        trials: u64,
-    },
-    /// The sweep executor answered a point from its cache (or from an
-    /// identical point earlier in the same sweep) without running it.
-    SweepPointCached {
-        /// 0-based point index within the sweep call.
-        point: u64,
-        /// Content fingerprint of the point's configuration.
-        fingerprint: u64,
-    },
 }
 
 /// Benign fault classes injected by the fault plane (`sos-faults`).
@@ -285,8 +266,6 @@ impl EventKind {
             EventKind::FaultInjected { .. } => "fault_injected",
             EventKind::HopRetry { .. } => "hop_retry",
             EventKind::RouteDowngrade { .. } => "route_downgrade",
-            EventKind::SweepPointStart { .. } => "sweep_point_start",
-            EventKind::SweepPointCached { .. } => "sweep_point_cached",
         }
     }
 }
@@ -349,8 +328,6 @@ mod tests {
                 fallback: FallbackMode::SuccessorWalk,
                 recovered: false,
             },
-            EventKind::SweepPointStart { point: 0, fingerprint: 0, trials: 0 },
-            EventKind::SweepPointCached { point: 0, fingerprint: 0 },
         ];
         let mut tags: Vec<&str> = kinds.iter().map(EventKind::tag).collect();
         tags.sort_unstable();

@@ -102,18 +102,6 @@ pub fn write_jsonl(events: &[Event]) -> String {
                     fallback.label()
                 );
             }
-            EventKind::SweepPointStart { point, fingerprint, trials } => {
-                let _ = write!(
-                    out,
-                    ",\"point\":{point},\"fingerprint\":\"{fingerprint:016x}\",\"trials\":{trials}"
-                );
-            }
-            EventKind::SweepPointCached { point, fingerprint } => {
-                let _ = write!(
-                    out,
-                    ",\"point\":{point},\"fingerprint\":\"{fingerprint:016x}\""
-                );
-            }
         }
         out.push_str("}\n");
     }

@@ -29,8 +29,8 @@
 //!
 //! Timestamps are nanoseconds since the trace epoch (first enable),
 //! from `Instant` — wall-clock monotonic, unaffected by NTP steps.
-//! Span ids come from a seeded counter ([`seed_ids`]); seeding exists
-//! so replayed runs produce stable ids, not for randomness.
+//! Span ids come from a process-wide counter, never from the
+//! simulation RNG streams.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -47,8 +47,8 @@ pub const CAT_EXEC: &str = "exec";
 pub const CAT_POOL: &str = "pool";
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Next span id; ids are process-unique and strictly increasing from
-/// the seed. Never fed by (or feeding) the sim RNG streams.
+/// Next span id; ids are process-unique and strictly increasing.
+/// Never fed by (or feeding) the sim RNG streams.
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 /// Ambient trace id (the current request id in `sosd`); 0 = none.
 static CURRENT_TRACE: AtomicU64 = AtomicU64::new(0);
@@ -87,13 +87,6 @@ pub fn set_enabled(enabled: bool) {
 /// any hook pays when tracing is off).
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Seeds the span-id counter. Ids handed out afterwards are
-/// `seed + 1, seed + 2, …` — deterministic for replay harnesses,
-/// entirely outside the simulation RNG streams.
-pub fn seed_ids(seed: u64) {
-    NEXT_SPAN_ID.store(seed.wrapping_add(1), Ordering::Relaxed);
 }
 
 /// Sets the ambient trace context: every span started afterwards (on

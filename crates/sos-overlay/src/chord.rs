@@ -75,9 +75,12 @@ pub struct ChordRing {
 ///
 /// One draw per member, then a sort; identifier collisions among `n`
 /// uniform `u64` draws have probability ≈ `n²/2⁶⁵` (≈ 5·10⁻¹² at
-/// n = 10⁴), but determinism demands a defined resolution: any id equal
-/// to its sorted predecessor is re-rolled and the sort repeated until
-/// all are distinct. [`ChordRing::build_into`] and the unit tests'
+/// n = 10⁴), but determinism demands a defined resolution: within each
+/// run of equal ids, ordered by [`NodeId`], every member after the
+/// first is re-rolled in that order, and the sort repeated until all
+/// are distinct. The order is by member, not by where the unstable sort
+/// left equal keys, so the ring does not depend on the order of
+/// `members`. [`ChordRing::build_into`] and the unit tests'
 /// `ChordRing::build_reference` share this helper so their RNG
 /// consumption stays draw-for-draw identical.
 fn draw_ring_ids<R: Rng + ?Sized>(rng: &mut R, members: &[NodeId], pairs: &mut Vec<(u64, NodeId)>) {
@@ -87,16 +90,15 @@ fn draw_ring_ids<R: Rng + ?Sized>(rng: &mut R, members: &[NodeId], pairs: &mut V
         pairs.push((rng.gen::<u64>(), m));
     }
     pairs.sort_unstable_by_key(|&(id, _)| id);
-    loop {
-        let mut collided = false;
-        for i in 1..pairs.len() {
-            if pairs[i].0 == pairs[i - 1].0 {
-                pairs[i].0 = rng.gen::<u64>();
-                collided = true;
+    while pairs.windows(2).any(|w| w[0].0 == w[1].0) {
+        pairs.sort_unstable();
+        let mut prev = pairs[0].0;
+        for pair in &mut pairs[1..] {
+            let id = pair.0;
+            if id == prev {
+                pair.0 = rng.gen::<u64>();
             }
-        }
-        if !collided {
-            break;
+            prev = id;
         }
         pairs.sort_unstable_by_key(|&(id, _)| id);
     }

@@ -83,8 +83,8 @@ pub use engine::{
 pub use pool::pool_map;
 pub use route_batch::RouteBatchScratch;
 pub use sweep::{
-    config_fingerprint, run_sweep, run_sweep_traced, set_global_cache, structural_fingerprint,
-    sweep_stats, CacheLoadReport, SweepExecutor, SweepStats,
+    config_fingerprint, persist_global_cache, run_sweep, set_global_cache, sweep_stats,
+    CacheLoadReport, SweepExecutor, SweepStats,
 };
 pub use flow::{FlowModel, FlowResult, FlowSimulation};
 pub use repair::{RepairConfig, RepairSimulation, RepairTimeline};

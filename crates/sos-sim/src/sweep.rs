@@ -44,16 +44,14 @@
 //! unobservable without faults).
 //!
 //! Use the process-global executor via [`run_sweep`] /
-//! [`set_global_cache`] (or the `SOS_SWEEP_CACHE` environment
-//! variable), or construct a private [`SweepExecutor`] for isolated
-//! thread counts and caches (as `bench/` and the tests do).
+//! [`set_global_cache`], or construct a private [`SweepExecutor`] for
+//! isolated thread counts and caches (as `bench/` and the tests do).
 //!
 //! [`Simulation::run_parallel`]: crate::engine::Simulation::run_parallel
 
 use crate::engine::{Simulation, SimulationConfig, SimulationResult};
 use crate::pool::{global_pool, Observe, RangeJob, WorkerPool};
 use sos_observe::{telemetry, trace};
-use sos_observe::{Event, EventKind, MetricsRegistry, Recorder};
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -61,8 +59,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Cumulative executor counters, exposed for benchmarks and the CLI's
-/// `--cache` reporting (and mirrored into `sos-observe` metrics by
-/// [`SweepExecutor::run_traced`]).
+/// `--cache` reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Sweep points requested (one per input config, duplicates
@@ -109,9 +106,8 @@ pub fn config_fingerprint(config: &SimulationConfig) -> u64 {
 /// Two sweep points with equal structural fingerprints and equal master
 /// seeds construct bit-identical overlays/rings at every trial index,
 /// which is exactly the condition under which the engine's per-worker
-/// build memo may answer a trial without rebuilding. Services can use
-/// this to group requests by build-compatibility.
-pub fn structural_fingerprint(config: &SimulationConfig) -> u64 {
+/// build memo may answer a trial without rebuilding.
+fn structural_fingerprint(config: &SimulationConfig) -> u64 {
     let mut canon = String::new();
     canon.push_str(
         &serde_json::to_string(&config.scenario).expect("scenario serializes"),
@@ -532,59 +528,15 @@ impl SweepExecutor {
     /// Runs every config (answering from cache/dedup where possible)
     /// and returns results in input order.
     pub fn run(&mut self, configs: &[SimulationConfig]) -> Vec<SimulationResult> {
-        self.run_inner(configs, None)
-    }
-
-    /// [`run`](Self::run) with observability: emits one
-    /// [`EventKind::SweepPointStart`] per executed point and one
-    /// [`EventKind::SweepPointCached`] per cache/dedup hit (the event's
-    /// `trial` field carries the point index), and mirrors the
-    /// [`SweepStats`] deltas into `metrics` counters (`sweep_points`,
-    /// `sweep_cache_hits`, `sweep_dedup_hits`, `sweep_points_executed`,
-    /// `sweep_trials_executed`, `pool_batches`).
-    pub fn run_traced(
-        &mut self,
-        configs: &[SimulationConfig],
-        recorder: &dyn Recorder,
-        metrics: &mut MetricsRegistry,
-    ) -> Vec<SimulationResult> {
-        let before = self.stats;
-        let results = self.run_inner(configs, Some(recorder));
-        let delta = |field: fn(&SweepStats) -> u64| field(&self.stats) - field(&before);
-        metrics.counter("sweep_points").add(delta(|s| s.points));
-        metrics.counter("sweep_cache_hits").add(delta(|s| s.cache_hits));
-        metrics.counter("sweep_dedup_hits").add(delta(|s| s.dedup_hits));
-        metrics
-            .counter("sweep_points_executed")
-            .add(delta(|s| s.points_executed));
-        metrics
-            .counter("sweep_trials_executed")
-            .add(delta(|s| s.trials_executed));
-        metrics.counter("pool_batches").add(delta(|s| s.pool_batches));
-        results
-    }
-
-    fn run_inner(
-        &mut self,
-        configs: &[SimulationConfig],
-        recorder: Option<&dyn Recorder>,
-    ) -> Vec<SimulationResult> {
         self.stats.points += configs.len() as u64;
         telemetry::add_expected_points(configs.len() as u64);
         let fingerprints: Vec<u64> = configs.iter().map(fingerprint).collect();
 
         // Plan: first occurrence of an uncached fingerprint becomes a
         // job; later occurrences are dedup hits, cached ones cache hits.
-        let mut emit_t = 0u64;
-        let mut emit = |point: u64, kind: EventKind| {
-            if let Some(r) = recorder {
-                r.record(Event::new(emit_t, point, kind));
-                emit_t += 1;
-            }
-        };
         let mut planned: Vec<u64> = Vec::new();
         let mut sims: Vec<Arc<Simulation>> = Vec::new();
-        for (point, (config, &fp)) in configs.iter().zip(&fingerprints).enumerate() {
+        for (config, &fp) in configs.iter().zip(&fingerprints) {
             // Request-scoped tracing: one probe span per point, with a
             // hit/miss annotation. Reads the clock only — never the
             // sim RNG streams — so plans are identical traced or not.
@@ -595,7 +547,6 @@ impl SweepExecutor {
                 if let Some(span) = probe.as_mut() {
                     span.arg("hit", 1);
                 }
-                emit(point as u64, EventKind::SweepPointCached { point: point as u64, fingerprint: fp });
             } else if planned.contains(&fp) {
                 self.stats.dedup_hits += 1;
                 telemetry::point_cached();
@@ -603,7 +554,6 @@ impl SweepExecutor {
                     span.arg("hit", 1);
                     span.arg("dedup", 1);
                 }
-                emit(point as u64, EventKind::SweepPointCached { point: point as u64, fingerprint: fp });
             } else {
                 planned.push(fp);
                 sims.push(Arc::new(Simulation::new(config.clone())));
@@ -612,11 +562,6 @@ impl SweepExecutor {
                 if let Some(span) = probe.as_mut() {
                     span.arg("hit", 0);
                 }
-                emit(point as u64, EventKind::SweepPointStart {
-                    point: point as u64,
-                    fingerprint: fp,
-                    trials: config.trials,
-                });
             }
         }
 
@@ -782,20 +727,7 @@ impl Default for SweepExecutor {
 /// earlier one.
 fn global_executor() -> &'static Mutex<SweepExecutor> {
     static EXECUTOR: OnceLock<Mutex<SweepExecutor>> = OnceLock::new();
-    EXECUTOR.get_or_init(|| {
-        let mut exec = SweepExecutor::new();
-        if let Ok(path) = std::env::var("SOS_SWEEP_CACHE") {
-            if !path.is_empty() {
-                match exec.attach_cache(&path) {
-                    Ok(n) => eprintln!("sweep cache {path}: {n} entries loaded"),
-                    Err(e) => eprintln!(
-                        "warning: ignoring sweep cache {path}: {e} (running cold)"
-                    ),
-                }
-            }
-        }
-        Mutex::new(exec)
-    })
+    EXECUTOR.get_or_init(|| Mutex::new(SweepExecutor::new()))
 }
 
 /// Runs a sweep on the process-global executor (global pool, global
@@ -810,19 +742,6 @@ pub fn run_sweep(configs: &[SimulationConfig]) -> Vec<SimulationResult> {
         .run(configs)
 }
 
-/// [`run_sweep`] with observability (see
-/// [`SweepExecutor::run_traced`]).
-pub fn run_sweep_traced(
-    configs: &[SimulationConfig],
-    recorder: &dyn Recorder,
-    metrics: &mut MetricsRegistry,
-) -> Vec<SimulationResult> {
-    global_executor()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .run_traced(configs, recorder, metrics)
-}
-
 /// Attaches a persistent cache file to the process-global executor
 /// (the `--cache` flag); returns the number of entries loaded. See
 /// [`SweepExecutor::attach_cache`] for error semantics.
@@ -831,6 +750,17 @@ pub fn set_global_cache(path: impl AsRef<Path>) -> io::Result<usize> {
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .attach_cache(path)
+}
+
+/// Folds the process-global executor's journal into its cache file
+/// ([`SweepExecutor::persist`]); a no-op without an attached cache.
+/// One-shot commands call it before they exit, so the cache file they
+/// were given exists afterwards, not only its journal.
+pub fn persist_global_cache() {
+    global_executor()
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .persist();
 }
 
 /// Counters of the process-global executor so far.
@@ -1173,30 +1103,5 @@ mod tests {
         assert_eq!(report.quarantined.as_deref(), Some(corrupt.as_path()));
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&corrupt);
-    }
-
-    #[test]
-    fn traced_run_emits_events_and_counters() {
-        use sos_observe::MemoryRecorder;
-        let configs = vec![config(100, 9), config(100, 9), config(200, 9)];
-        let mut exec = SweepExecutor::with_threads(1);
-        let recorder = MemoryRecorder::new();
-        let mut metrics = MetricsRegistry::new();
-        exec.run_traced(&configs, &recorder, &mut metrics);
-        let events = recorder.take_events();
-        let starts = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::SweepPointStart { .. }))
-            .count();
-        let cached = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::SweepPointCached { .. }))
-            .count();
-        assert_eq!(starts, 2);
-        assert_eq!(cached, 1);
-        assert_eq!(metrics.counter_value("sweep_points"), Some(3));
-        assert_eq!(metrics.counter_value("sweep_points_executed"), Some(2));
-        assert_eq!(metrics.counter_value("sweep_dedup_hits"), Some(1));
-        assert_eq!(metrics.counter_value("sweep_trials_executed"), Some(16));
     }
 }

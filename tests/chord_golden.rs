@@ -3,9 +3,10 @@
 //! seeded rings with part of the nodes dead, a join/leave sequence, and
 //! one paper-scale Chord simulation, pinned as FNV digests. How the
 //! ring computes a greedy step may change; none of these numbers may.
+//! Nor may the member an identifier collision re-rolls.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use sos::overlay::{ChordRing, NodeBitSet, NodeId};
 use sos::sim::Simulation;
 use sos_serve::SimSpec;
@@ -76,6 +77,27 @@ fn routing_digest(n: u32, dead_percent: u32) -> u64 {
         h.answer(r.successor_walk_hops_masked(from, key, &mask));
     }
     h.0
+}
+
+/// Replays a fixed list of draws.
+struct ScriptedRng(std::vec::IntoIter<u64>);
+
+impl RngCore for ScriptedRng {
+    fn next_u64(&mut self) -> u64 {
+        self.0.next().expect("script exhausted")
+    }
+}
+
+/// Both members draw id 5; the larger `NodeId` is re-rolled, whichever
+/// order the member list gives them in.
+#[test]
+fn id_collision_rerolls_the_larger_member_whatever_the_input_order() {
+    let (a, b) = (NodeId(3), NodeId(7));
+    for members in [[a, b], [b, a]] {
+        let ring = ChordRing::build(&mut ScriptedRng(vec![5, 5, 9].into_iter()), &members);
+        assert_eq!(ring.id_of(a), Some(5), "{members:?}");
+        assert_eq!(ring.id_of(b), Some(9), "{members:?}");
+    }
 }
 
 #[test]
