@@ -24,7 +24,9 @@
 //! list. Neither is stored: both are functions of the sorted id array,
 //! so each hop derives just the entries its greedy step looks at (see
 //! `ChordRing::greedy_step`). A ring is its ids, members and position
-//! map, and building one costs an id draw and a sort.
+//! map, and building one costs an id draw and two counting passes over
+//! the ids' top bits (see `IdDraw::draw`): the ids are uniform, so a
+//! comparison sort would spend most of a paper-scale build ordering them.
 
 use crate::bitset::NodeBitSet;
 use crate::node::NodeId;
@@ -66,41 +68,117 @@ pub struct ChordRing {
     /// `position_of[node.index()]` = ring position, `u32::MAX` when the
     /// node is not on the ring (dense map: members are overlay ids).
     position_of: Vec<u32>,
-    /// Identifier-draw scratch reused by [`ChordRing::build_into`].
-    pairs: Vec<(u64, NodeId)>,
+    /// Identifier-draw buffers reused by [`ChordRing::build_into`].
+    draw: IdDraw,
 }
 
-/// Draws one distinct uniformly random 64-bit identifier per member into
-/// `pairs`, sorted ascending by identifier.
-///
-/// One draw per member, then a sort; identifier collisions among `n`
-/// uniform `u64` draws have probability ≈ `n²/2⁶⁵` (≈ 5·10⁻¹² at
-/// n = 10⁴), but determinism demands a defined resolution: within each
-/// run of equal ids, ordered by [`NodeId`], every member after the
-/// first is re-rolled in that order, and the sort repeated until all
-/// are distinct. The order is by member, not by where the unstable sort
-/// left equal keys, so the ring does not depend on the order of
-/// `members`. [`ChordRing::build_into`] and the unit tests'
-/// `ChordRing::build_reference` share this helper so their RNG
-/// consumption stays draw-for-draw identical.
-fn draw_ring_ids<R: Rng + ?Sized>(rng: &mut R, members: &[NodeId], pairs: &mut Vec<(u64, NodeId)>) {
-    pairs.clear();
-    pairs.reserve(members.len());
-    for &m in members {
-        pairs.push((rng.gen::<u64>(), m));
-    }
-    pairs.sort_unstable_by_key(|&(id, _)| id);
-    while pairs.windows(2).any(|w| w[0].0 == w[1].0) {
-        pairs.sort_unstable();
-        let mut prev = pairs[0].0;
-        for pair in &mut pairs[1..] {
-            let id = pair.0;
-            if id == prev {
-                pair.0 = rng.gen::<u64>();
-            }
-            prev = id;
+/// The buffers of one identifier draw, kept so that a rebuild at the
+/// same size allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct IdDraw {
+    /// `(id, member)` pairs, sorted ascending by id after a draw.
+    pairs: Vec<(u64, NodeId)>,
+    /// The counting sort's second buffer.
+    scratch: Vec<(u64, NodeId)>,
+    /// The counting sort's two histograms, one per digit.
+    counts: Vec<u32>,
+}
+
+impl IdDraw {
+    /// Draws one distinct uniformly random 64-bit identifier per member
+    /// into `pairs`, sorted ascending by identifier.
+    ///
+    /// One draw per member, then [`IdDraw::sort_by_id`]; identifier
+    /// collisions among `n` uniform `u64` draws have probability ≈
+    /// `n²/2⁶⁵` (≈ 5·10⁻¹² at n = 10⁴), but determinism demands a defined
+    /// resolution: within each run of equal ids, ordered by [`NodeId`],
+    /// every member after the first is re-rolled in that order, and the
+    /// sort repeated until all are distinct. The order is by member, not
+    /// by where a sort left equal keys, so the ring does not depend on
+    /// the order of `members`. Distinct ids have one sorted order, so the
+    /// ring is the one any sort would give; the unit tests'
+    /// `ChordRing::reference_ids` orders its ids with a comparison sort
+    /// and must consume the RNG draw for draw alike.
+    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R, members: &[NodeId]) {
+        self.pairs.clear();
+        self.pairs.reserve(members.len());
+        for &m in members {
+            self.pairs.push((rng.gen::<u64>(), m));
         }
-        pairs.sort_unstable_by_key(|&(id, _)| id);
+        self.sort_by_id();
+        let pairs = &mut self.pairs;
+        while pairs.windows(2).any(|w| w[0].0 == w[1].0) {
+            pairs.sort_unstable();
+            let mut prev = pairs[0].0;
+            for pair in &mut pairs[1..] {
+                let id = pair.0;
+                if id == prev {
+                    pair.0 = rng.gen::<u64>();
+                }
+                prev = id;
+            }
+            pairs.sort_unstable_by_key(|&(id, _)| id);
+        }
+    }
+
+    /// Sorts `pairs` ascending by id (equal ids in no defined order).
+    ///
+    /// Two stable counting passes, least significant digit first, order
+    /// the pairs by the top `2d` bits of their ids, with `d =
+    /// ⌈bitlen(n)/2⌉ + 1` capped at 11: below the cap that is more than
+    /// `4n` buckets, so uniform ids share their top `2d` bits in short,
+    /// rare runs, which an insertion pass then orders. Linear for
+    /// uniform ids, where `sort_unstable_by_key` spends `O(n log n)`
+    /// comparisons; the insertion pass is quadratic only in ids that
+    /// crowd into a few buckets, which a uniform draw does not produce.
+    fn sort_by_id(&mut self) {
+        let n = self.pairs.len();
+        let bitlen = (usize::BITS - n.leading_zeros()) as usize;
+        let d = (bitlen.div_ceil(2) + 1).min(11);
+        let buckets = 1usize << d;
+        let hi = |id: u64| (id >> (64 - d)) as usize;
+        let lo = |id: u64| (id >> (64 - 2 * d)) as usize & (buckets - 1);
+
+        self.counts.clear();
+        self.counts.resize(2 * buckets, 0);
+        let (lo_at, hi_at) = self.counts.split_at_mut(buckets);
+        for &(id, _) in &self.pairs {
+            lo_at[lo(id)] += 1;
+            hi_at[hi(id)] += 1;
+        }
+        for at in [&mut *lo_at, &mut *hi_at] {
+            let mut sum = 0;
+            for c in at {
+                (*c, sum) = (sum, sum + *c);
+            }
+        }
+
+        // Every slot is written by the first pass: only the length matters.
+        self.scratch.resize(n, (0, NodeId(0)));
+        for &pair in &self.pairs {
+            let at = &mut lo_at[lo(pair.0)];
+            self.scratch[*at as usize] = pair;
+            *at += 1;
+        }
+        for &pair in &self.scratch {
+            let at = &mut hi_at[hi(pair.0)];
+            self.pairs[*at as usize] = pair;
+            *at += 1;
+        }
+
+        let pairs = &mut self.pairs[..];
+        for i in 1..n {
+            let pair = pairs[i];
+            if pairs[i - 1].0 <= pair.0 {
+                continue;
+            }
+            let mut j = i;
+            while j > 0 && pairs[j - 1].0 > pair.0 {
+                pairs[j] = pairs[j - 1];
+                j -= 1;
+            }
+            pairs[j] = pair;
+        }
     }
 }
 
@@ -116,7 +194,7 @@ impl ChordRing {
             ids: Vec::new(),
             members: Vec::new(),
             position_of: Vec::new(),
-            pairs: Vec::new(),
+            draw: IdDraw::default(),
         };
         ring.build_into(rng, members);
         ring
@@ -124,7 +202,7 @@ impl ChordRing {
 
     /// Rebuilds this ring in place over `members`, reusing every existing
     /// allocation (identifier table, members, position map, draw
-    /// scratch).
+    /// buffers).
     ///
     /// Consumes the RNG identically to [`ChordRing::build`], so a reused
     /// ring is indistinguishable from a freshly built one at the same RNG
@@ -136,12 +214,13 @@ impl ChordRing {
     pub fn build_into<R: Rng + ?Sized>(&mut self, rng: &mut R, members: &[NodeId]) {
         assert!(!members.is_empty(), "a Chord ring needs at least one node");
 
-        draw_ring_ids(rng, members, &mut self.pairs);
+        self.draw.draw(rng, members);
 
+        let pairs = &self.draw.pairs;
         self.ids.clear();
-        self.ids.extend(self.pairs.iter().map(|&(id, _)| id));
+        self.ids.extend(pairs.iter().map(|&(id, _)| id));
         self.members.clear();
-        self.members.extend(self.pairs.iter().map(|&(_, m)| m));
+        self.members.extend(pairs.iter().map(|&(_, m)| m));
         self.rebuild_positions();
     }
 
@@ -438,6 +517,29 @@ impl ChordRing {
         }
     }
 
+    /// The `(id, member)` pairs of [`ChordRing::build`] at the same RNG
+    /// state, drawn and re-rolled as `IdDraw::draw` does but ordered by
+    /// a comparison sort: the test oracle for the counting sort.
+    #[cfg(test)]
+    fn reference_ids<R: Rng + ?Sized>(rng: &mut R, members: &[NodeId]) -> Vec<(u64, NodeId)> {
+        let mut pairs: Vec<(u64, NodeId)> =
+            members.iter().map(|&m| (rng.gen::<u64>(), m)).collect();
+        pairs.sort_unstable_by_key(|&(id, _)| id);
+        while pairs.windows(2).any(|w| w[0].0 == w[1].0) {
+            pairs.sort_unstable();
+            let mut prev = pairs[0].0;
+            for pair in &mut pairs[1..] {
+                let id = pair.0;
+                if id == prev {
+                    pair.0 = rng.gen::<u64>();
+                }
+                prev = id;
+            }
+            pairs.sort_unstable_by_key(|&(id, _)| id);
+        }
+        pairs
+    }
+
     /// Exhaustive reference construction, the test oracle for the
     /// derived routing state: the ring [`ChordRing::build`] would return
     /// for the same RNG state (draw for draw), plus the classic tables
@@ -454,9 +556,7 @@ impl ChordRing {
         let unique: std::collections::HashSet<_> = members.iter().collect();
         assert_eq!(unique.len(), members.len(), "duplicate members");
 
-        let mut pairs: Vec<(u64, NodeId)> = Vec::new();
-        draw_ring_ids(rng, members, &mut pairs);
-
+        let pairs = Self::reference_ids(rng, members);
         let ids: Vec<u64> = pairs.iter().map(|&(id, _)| id).collect();
         let members: Vec<NodeId> = pairs.iter().map(|&(_, m)| m).collect();
         let n = ids.len();
@@ -495,7 +595,7 @@ impl ChordRing {
             ids,
             members,
             position_of,
-            pairs: Vec::new(),
+            draw: IdDraw::default(),
         };
         (ring, fingers, successors)
     }
@@ -911,14 +1011,31 @@ mod tests {
 
     #[test]
     fn build_matches_reference_construction() {
-        for (n, seed) in [(1u32, 0u64), (2, 1), (3, 2), (17, 3), (64, 4), (500, 5)] {
+        // Both sides of every bit-length boundary of the counting sort's
+        // digit width, the paper's N, and a size where its cap binds.
+        let mut sizes: Vec<u32> = vec![1, 2, 3, 10_000, (1 << 20) + 1];
+        for k in 4..=14 {
+            sizes.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        for n in sizes {
             let members: Vec<NodeId> = (0..n).map(NodeId).collect();
+            let seed = u64::from(n);
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
             let fast = ChordRing::build(&mut rng_a, &members);
-            let (reference, _, _) = ChordRing::build_reference(&mut rng_b, &members);
+            let pairs = ChordRing::reference_ids(&mut rng_b, &members);
+            let ids: Vec<u64> = pairs.iter().map(|&(id, _)| id).collect();
+            let order: Vec<NodeId> = pairs.iter().map(|&(_, m)| m).collect();
+            assert_eq!(fast.ids, ids, "n = {n}");
+            assert_eq!(fast.members, order, "n = {n}");
+            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "n = {n}");
+        }
+        for (n, seed) in [(1u32, 0u64), (2, 1), (3, 2), (17, 3), (64, 4), (500, 5)] {
+            let members: Vec<NodeId> = (0..n).map(NodeId).collect();
+            let fast = ChordRing::build(&mut StdRng::seed_from_u64(seed), &members);
+            let (reference, _, _) =
+                ChordRing::build_reference(&mut StdRng::seed_from_u64(seed), &members);
             assert_same_ring(&fast, &reference);
-            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
         }
     }
 
@@ -926,7 +1043,7 @@ mod tests {
     fn build_into_reuse_matches_fresh_build() {
         // Dirty the reused ring with a different membership first.
         let mut reused = ring(300, 42);
-        for (n, seed) in [(1u32, 6u64), (64, 7), (200, 8), (512, 9)] {
+        for (n, seed) in [(1u32, 6u64), (64, 7), (200, 8), (512, 9), (10_000, 10)] {
             let members: Vec<NodeId> = (0..n).map(NodeId).collect();
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
@@ -934,6 +1051,21 @@ mod tests {
             reused.build_into(&mut rng_b, &members);
             assert_same_ring(&fresh, &reused);
             assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+
+            // A second rebuild at the same n allocates nothing.
+            let buffers = |r: &ChordRing| {
+                [
+                    r.ids.as_ptr() as usize,
+                    r.members.as_ptr() as usize,
+                    r.position_of.as_ptr() as usize,
+                    r.draw.pairs.as_ptr() as usize,
+                    r.draw.scratch.as_ptr() as usize,
+                    r.draw.counts.as_ptr() as usize,
+                ]
+            };
+            let before = buffers(&reused);
+            reused.build_into(&mut rng_b, &members);
+            assert_eq!(buffers(&reused), before, "n = {n}");
         }
     }
 

@@ -3,7 +3,8 @@
 //! seeded rings with part of the nodes dead, a join/leave sequence, and
 //! one paper-scale Chord simulation, pinned as FNV digests. How the
 //! ring computes a greedy step may change; none of these numbers may.
-//! Nor may the member an identifier collision re-rolls.
+//! Nor may the member an identifier collision re-rolls, nor the ring's
+//! id order, which must be a comparison sort of the draws.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -98,6 +99,85 @@ fn id_collision_rerolls_the_larger_member_whatever_the_input_order() {
         assert_eq!(ring.id_of(a), Some(5), "{members:?}");
         assert_eq!(ring.id_of(b), Some(9), "{members:?}");
     }
+}
+
+/// The ring's `(id, member)` pairs in ring order, walked by `successor`
+/// from the owner of key 0, the member with the smallest id.
+fn walk(ring: &ChordRing) -> Vec<(u64, NodeId)> {
+    let mut at = ring.owner_of(0);
+    (0..ring.len())
+        .map(|_| {
+            let here = at;
+            at = ring.successor(here);
+            (ring.id_of(here).expect("walked node is on the ring"), here)
+        })
+        .collect()
+}
+
+/// Builds a ring whose member `i` draws `draws[i]` (distinct) and checks
+/// its order against a comparison sort of the draws.
+fn assert_ring_sorts(case: &str, draws: Vec<u64>) {
+    let members: Vec<NodeId> = (0..draws.len() as u32).map(NodeId).collect();
+    let mut expected: Vec<(u64, NodeId)> =
+        draws.iter().copied().zip(members.iter().copied()).collect();
+    expected.sort_unstable_by_key(|&(id, _)| id);
+    assert!(
+        expected.windows(2).all(|w| w[0].0 < w[1].0),
+        "{case}: draws must be distinct"
+    );
+    let ring = ChordRing::build(&mut ScriptedRng(draws.into_iter()), &members);
+    assert_eq!(walk(&ring), expected, "{case}");
+}
+
+/// The ring's id order is a comparison sort of the draws, whatever the
+/// draws' high bits, however they arrive, and with exact collisions.
+#[test]
+fn ring_order_is_a_comparison_sort_on_adversarial_ids() {
+    let mut rng = StdRng::seed_from_u64(0xAD5);
+    let n = 2_000;
+    let random = |rng: &mut StdRng| -> Vec<u64> { (0..n).map(|_| rng.gen()).collect() };
+
+    // One bucket for any digit width: the top 22 bits are all the same.
+    let shared_top = random(&mut rng)
+        .into_iter()
+        .map(|x| (0x2A_5A5A << 42) | (x >> 22))
+        .collect();
+    assert_ring_sorts("shared top 22 bits", shared_top);
+
+    let lowest_bit = random(&mut rng)[..n / 2]
+        .iter()
+        .flat_map(|&x| [x | 1, x & !1])
+        .collect();
+    assert_ring_sorts("differ only in the lowest bit", lowest_bit);
+
+    let mut descending = random(&mut rng);
+    descending.sort_unstable_by(|a, b| b.cmp(a));
+    assert_ring_sorts("descending", descending);
+
+    let mut extremes = random(&mut rng);
+    extremes[..4].copy_from_slice(&[u64::MAX, 0, u64::MAX - 1, 1]);
+    assert_ring_sorts("0 and u64::MAX", extremes);
+
+    // Members 3, n-2 and n-1 draw x; members 700 and n-3 draw y > x.
+    // Re-rolls go in (id, NodeId) order: n-2, n-1, then n-3.
+    let (x, y) = (1 << 40, u64::MAX - 7);
+    let mut draws = random(&mut rng);
+    for i in [3, n - 2, n - 1] {
+        draws[i] = x;
+    }
+    for i in [700, n - 3] {
+        draws[i] = y;
+    }
+    let rerolls = [0, u64::MAX, 5];
+    let members: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+    let script = draws.iter().chain(&rerolls).copied().collect::<Vec<_>>();
+    let ring = ChordRing::build(&mut ScriptedRng(script.into_iter()), &members);
+    for (i, id) in [n - 2, n - 1, n - 3].into_iter().zip(rerolls) {
+        draws[i] = id;
+    }
+    let mut expected: Vec<(u64, NodeId)> = draws.into_iter().zip(members).collect();
+    expected.sort_unstable_by_key(|&(id, _)| id);
+    assert_eq!(walk(&ring), expected, "exact collisions");
 }
 
 #[test]
