@@ -1367,9 +1367,10 @@ fn client_cmd(
                 let t = &body["timing"];
                 let ns = |key: &str| t[key].as_u64().unwrap_or(0);
                 eprintln!(
-                    "timing: rtt {rtt_ns} ns | server total {} ns \
+                    "timing: rtt {rtt_ns} ns | server decode {} ns, total {} ns \
                      (queue {}, lock {}, build {}, break-in {}, congestion {}, routing {}) \
                      | trials {} cache_hits {} builds_reused {} | request_id {}",
+                    ns("decode_ns"),
                     ns("total_ns"),
                     ns("queue_ns"),
                     ns("lock_ns"),

@@ -74,10 +74,16 @@ impl Client {
     /// response, [`ClientError::Io`]/[`ClientError::Protocol`] for
     /// transport or framing trouble.
     pub fn request(&mut self, request: &Request) -> Result<Value, ClientError> {
-        protocol::write_value(&mut self.stream, &request.to_value())?;
+        self.call(&request.to_value())
+    }
+
+    /// Sends one encoded request object and returns the response's
+    /// `result` body.
+    fn call(&mut self, request: &Value) -> Result<Value, ClientError> {
+        protocol::write_value(&mut self.stream, request)?;
         let value = protocol::read_value(&mut self.stream)?
             .ok_or_else(|| ClientError::Protocol("server closed the connection".into()))?;
-        match Response::from_value(&value).map_err(|e| ClientError::Protocol(e.to_string()))? {
+        match Response::from_value(value).map_err(|e| ClientError::Protocol(e.to_string()))? {
             Response::Ok { result, .. } => Ok(result),
             Response::Err(e) => Err(ClientError::Remote(e)),
         }
@@ -151,7 +157,7 @@ impl Client {
         specs: &[SimSpec],
         deadline_ms: Option<u64>,
     ) -> Result<Value, ClientError> {
-        self.request(&Request::Sweep { specs: specs.to_vec(), deadline_ms })
+        self.call(&protocol::sweep_request(specs, deadline_ms))
     }
 
     /// `profile` — live telemetry snapshot (`{table, telemetry}`).
@@ -231,7 +237,12 @@ impl RetryClient {
     /// The last attempt's error once attempts or the deadline budget
     /// are exhausted; non-retryable errors immediately.
     pub fn request(&mut self, request: &Request) -> Result<Value, ClientError> {
-        let retryable = !matches!(request, Request::Shutdown);
+        self.call(&request.to_value(), !matches!(request, Request::Shutdown))
+    }
+
+    /// Sends one encoded request object, retrying per the policy when
+    /// `retryable`.
+    fn call(&mut self, request: &Value, retryable: bool) -> Result<Value, ClientError> {
         let started = Instant::now();
         let mut attempt = 1u32;
         loop {
@@ -273,12 +284,12 @@ impl RetryClient {
     }
 
     /// One connect-if-needed + send attempt.
-    fn attempt(&mut self, request: &Request) -> Result<Value, ClientError> {
+    fn attempt(&mut self, request: &Value) -> Result<Value, ClientError> {
         if self.client.is_none() {
             self.client = Some(Client::connect(self.addr.as_str())?);
         }
         let client = self.client.as_mut().expect("client connected above");
-        client.request(request)
+        client.call(request)
     }
 
     /// Retried [`Client::ping`].
@@ -341,6 +352,6 @@ impl RetryClient {
         specs: &[SimSpec],
         deadline_ms: Option<u64>,
     ) -> Result<Value, ClientError> {
-        self.request(&Request::Sweep { specs: specs.to_vec(), deadline_ms })
+        self.call(&protocol::sweep_request(specs, deadline_ms), true)
     }
 }

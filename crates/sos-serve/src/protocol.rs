@@ -230,15 +230,7 @@ impl Request {
                     entries.push(("deadline_ms".into(), Value::U64(*ms)));
                 }
             }
-            Request::Sweep { specs, deadline_ms } => {
-                entries.push((
-                    "specs".into(),
-                    Value::Seq(specs.iter().map(SimSpec::to_value).collect()),
-                ));
-                if let Some(ms) = deadline_ms {
-                    entries.push(("deadline_ms".into(), Value::U64(*ms)));
-                }
-            }
+            Request::Sweep { specs, deadline_ms } => return sweep_request(specs, *deadline_ms),
         }
         Value::Map(entries)
     }
@@ -320,6 +312,21 @@ impl Request {
     }
 }
 
+/// Encodes a `sweep` request straight from borrowed specs — the wire
+/// object [`Request::to_value`] writes for [`Request::Sweep`], without
+/// first copying the specs into a request.
+pub fn sweep_request(specs: &[SimSpec], deadline_ms: Option<u64>) -> Value {
+    let mut entries: Vec<(String, Value)> = vec![
+        ("v".into(), Value::U64(PROTOCOL_VERSION)),
+        ("op".into(), Value::Str("sweep".into())),
+        ("specs".into(), Value::Seq(specs.iter().map(SimSpec::to_value).collect())),
+    ];
+    if let Some(ms) = deadline_ms {
+        entries.push(("deadline_ms".into(), Value::U64(ms)));
+    }
+    Value::Map(entries)
+}
+
 /// A response frame, decoded: a successful result or a protocol error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -335,19 +342,20 @@ pub enum Response {
 }
 
 impl Response {
-    /// Encodes the response as its wire JSON object.
-    pub fn to_value(&self) -> Value {
+    /// Encodes the response as its wire JSON object, moving the
+    /// result body into it.
+    pub fn into_value(self) -> Value {
         match self {
             Response::Ok { op, result } => Value::Map(vec![
                 ("v".into(), Value::U64(PROTOCOL_VERSION)),
                 ("ok".into(), Value::Bool(true)),
-                ("op".into(), Value::Str(op.clone())),
-                ("result".into(), result.clone()),
+                ("op".into(), Value::Str(op)),
+                ("result".into(), result),
             ]),
             Response::Err(e) => {
                 let mut error = vec![
                     ("code".to_string(), Value::Str(e.code.as_str().into())),
-                    ("message".to_string(), Value::Str(e.message.clone())),
+                    ("message".to_string(), Value::Str(e.message)),
                 ];
                 if let Some(ms) = e.retry_after_ms {
                     error.push(("retry_after_ms".to_string(), Value::U64(ms)));
@@ -361,17 +369,18 @@ impl Response {
         }
     }
 
-    /// Decodes a response from its wire JSON object.
+    /// Decodes a response from its wire JSON object, moving the result
+    /// body out of it.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] (`bad-request`) when the value is not a
     /// well-formed response object. An unrecognized `error.code` from a
     /// newer server decodes as [`ErrorCode::Internal`].
-    pub fn from_value(value: &Value) -> Result<Response, WireError> {
-        let entries = value.as_map().ok_or_else(|| {
-            WireError::new(ErrorCode::BadRequest, "response must be a JSON object")
-        })?;
+    pub fn from_value(value: Value) -> Result<Response, WireError> {
+        let Value::Map(mut entries) = value else {
+            return Err(WireError::new(ErrorCode::BadRequest, "response must be a JSON object"));
+        };
         let field = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
         let ok = match field("ok") {
             Some(Value::Bool(b)) => *b,
@@ -389,11 +398,10 @@ impl Response {
                     WireError::new(ErrorCode::BadRequest, "response field `op` must be a string")
                 })?
                 .to_string();
-            let result = field("result")
-                .cloned()
-                .ok_or_else(|| {
-                    WireError::new(ErrorCode::BadRequest, "response is missing `result`")
-                })?;
+            let at = entries.iter().position(|(k, _)| k == "result").ok_or_else(|| {
+                WireError::new(ErrorCode::BadRequest, "response is missing `result`")
+            })?;
+            let result = entries.swap_remove(at).1;
             Ok(Response::Ok { op, result })
         } else {
             let error = field("error").and_then(Value::as_map).ok_or_else(|| {
@@ -445,31 +453,47 @@ pub fn frame_len(prefix: [u8; 4]) -> Result<usize, WireError> {
 /// Propagates I/O errors; rejects payloads over [`MAX_FRAME_LEN`] as
 /// [`io::ErrorKind::InvalidInput`].
 pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds the {MAX_FRAME_LEN}-byte limit", payload.len()),
-        ));
-    }
-    // One write for prefix + payload: two writes would let Nagle hold
-    // the payload back until the peer ACKs the 4-byte prefix — a
-    // ~40 ms delayed-ACK stall per frame on loopback.
+    check_payload_len(payload.len())?;
     let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(&[0; 4]);
     frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
-    w.flush()
+    send_frame(w, frame)
 }
 
-/// Serializes a JSON value and writes it as one frame.
+/// Serializes a JSON value and writes it as one frame. The JSON is
+/// written straight after the frame's prefix, not copied there.
 ///
 /// # Errors
 ///
 /// Propagates [`write_frame`] errors.
 pub fn write_value(w: &mut dyn Write, value: &Value) -> io::Result<()> {
-    let text = serde_json::to_string(value)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    write_frame(w, text.as_bytes())
+    let mut frame = vec![0; 4];
+    serde_json::to_writer(&mut frame, value)?;
+    send_frame(w, frame)
+}
+
+/// Rejects a payload over [`MAX_FRAME_LEN`].
+fn check_payload_len(len: usize) -> io::Result<()> {
+    if len > MAX_FRAME_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"),
+        ));
+    }
+    Ok(())
+}
+
+/// Fills in the length prefix of `frame` (4 placeholder bytes, then the
+/// payload) and writes it.
+fn send_frame(w: &mut dyn Write, mut frame: Vec<u8>) -> io::Result<()> {
+    let len = frame.len() - 4;
+    check_payload_len(len)?;
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    // One write for prefix + payload: two writes would let Nagle hold
+    // the payload back until the peer ACKs the 4-byte prefix — a
+    // ~40 ms delayed-ACK stall per frame on loopback.
+    w.write_all(&frame)?;
+    w.flush()
 }
 
 /// Reads one frame payload. Returns `Ok(None)` on clean EOF at a frame
@@ -621,8 +645,8 @@ mod tests {
         let err = Response::Err(WireError::new(ErrorCode::BadSpec, "unknown spec field `x`"));
         let busy = Response::Err(WireError::busy("admission queue full", 250));
         for resp in [ok, err, busy] {
-            let text = serde_json::to_string(&resp.to_value()).unwrap();
-            let back = Response::from_value(&serde_json::from_str(&text).unwrap()).unwrap();
+            let text = serde_json::to_string(&resp.clone().into_value()).unwrap();
+            let back = Response::from_value(serde_json::from_str(&text).unwrap()).unwrap();
             assert_eq!(back, resp);
         }
     }
@@ -630,7 +654,7 @@ mod tests {
     #[test]
     fn unknown_error_codes_degrade_to_internal() {
         let text = r#"{"v":1,"ok":false,"error":{"code":"too-new","message":"m"}}"#;
-        let resp = Response::from_value(&serde_json::from_str(text).unwrap()).unwrap();
+        let resp = Response::from_value(serde_json::from_str(text).unwrap()).unwrap();
         match resp {
             Response::Err(e) => {
                 assert_eq!(e.code, ErrorCode::Internal);

@@ -50,7 +50,7 @@ use crate::spec::{analyze_doc, analyze_outcome};
 use serde_json::Value;
 use sos_observe::telemetry::{self, PhaseKind, TelemetrySnapshot};
 use sos_observe::trace;
-use sos_sim::{config_fingerprint, SweepExecutor};
+use sos_sim::SweepExecutor;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -494,6 +494,9 @@ fn anomaly_dump(shared: &Shared, reason: &str) {
 /// snapshot deltas bracketing the request.
 #[derive(Debug, Default)]
 struct RequestTiming {
+    /// Wall time turning the frame into a request: UTF-8 check, JSON
+    /// parse and request decode.
+    decode_ns: u64,
     /// Wall time spent claiming an admission slot.
     queue_ns: u64,
     /// Wall time blocked on the executor mutex.
@@ -524,6 +527,7 @@ fn timing_doc(
 ) -> Value {
     serde_json::json!({
         "total_ns": total_ns,
+        "decode_ns": timing.decode_ns,
         "queue_ns": timing.queue_ns,
         "lock_ns": timing.lock_ns,
         "build_ns": phase_delta_ns(before, after, PhaseKind::Build),
@@ -650,7 +654,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                     &response,
                     Response::Err(e) if e.code == ErrorCode::BadFrame
                 );
-                if protocol::write_value(&mut stream, &response.to_value()).is_err() {
+                if protocol::write_value(&mut stream, &response.into_value()).is_err() {
                     break;
                 }
                 if shutdown {
@@ -666,7 +670,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 shared.errors.fetch_add(1, Ordering::Relaxed);
                 let resp = Response::Err(WireError::new(ErrorCode::BadFrame, e.to_string()));
-                let _ = protocol::write_value(&mut stream, &resp.to_value());
+                let _ = protocol::write_value(&mut stream, &resp.into_value());
                 break;
             }
             Err(_) => break,
@@ -685,6 +689,7 @@ fn initiate_shutdown(shared: &Shared) {
 /// Decodes one request payload and executes it. Returns the response
 /// plus whether this request asked for shutdown.
 fn respond(payload: &[u8], shared: &Shared) -> (Response, bool) {
+    let decode_started = Instant::now();
     let text = match std::str::from_utf8(payload) {
         Ok(t) => t,
         Err(_) => {
@@ -707,6 +712,12 @@ fn respond(payload: &[u8], shared: &Shared) -> (Response, bool) {
         Ok(r) => r,
         Err(e) => return (Response::Err(e), false),
     };
+    // Freeing the parsed tree is part of decoding it.
+    drop(value);
+    let mut timing = RequestTiming {
+        decode_ns: elapsed_ns(decode_started),
+        ..RequestTiming::default()
+    };
     let shutdown = matches!(request, Request::Shutdown);
     let op = request.op();
     telemetry::serve_request(op);
@@ -723,7 +734,6 @@ fn respond(payload: &[u8], shared: &Shared) -> (Response, bool) {
     trace::set_context(request_id, root.as_ref().map_or(0, |r| r.id()));
     let started = Instant::now();
     let before = telemetry::snapshot();
-    let mut timing = RequestTiming::default();
     let outcome = execute(request, shared, started, &mut timing);
     let after = telemetry::snapshot();
     let total_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -829,7 +839,6 @@ fn execute(
             let _permit = try_admit(shared)?;
             timing.queue_ns = elapsed_ns(admit_started);
             run_guarded(shared, || {
-                let fp = config_fingerprint(&config);
                 let lock_started = Instant::now();
                 let mut exec = lock_executor(shared);
                 timing.lock_ns = elapsed_ns(lock_started);
@@ -839,13 +848,13 @@ fn execute(
                     return Err(deadline_error(deadline_ms.unwrap_or(0), 0, 1));
                 }
                 let before = exec.stats();
-                let result = exec.run_one(&config);
+                let (fps, results) = exec.run_with_fingerprints(std::slice::from_ref(&config));
                 let cached = exec.stats().points_executed == before.points_executed;
                 Ok(serde_json::json!({
-                    "fingerprint": format!("{fp:016x}"),
+                    "fingerprint": format!("{:016x}", fps[0]),
                     "cached": cached,
                     "served_from": if cached { "cache" } else { "computed" },
-                    "result": result,
+                    "result": results[0],
                 }))
             })
         }
@@ -863,40 +872,43 @@ fn execute(
             let _permit = try_admit(shared)?;
             timing.queue_ns = elapsed_ns(admit_started);
             run_guarded(shared, || {
-                let fingerprints: Vec<String> = configs
-                    .iter()
-                    .map(|c| format!("{:016x}", config_fingerprint(c)))
-                    .collect();
                 let lock_started = Instant::now();
                 let mut exec = lock_executor(shared);
                 timing.lock_ns = elapsed_ns(lock_started);
                 let before = exec.stats();
-                let results = match deadline_ms {
+                let (fingerprints, results) = match deadline_ms {
                     // No deadline: one pool submission, identical to
                     // the pre-deadline code path byte for byte.
-                    None => exec.run(&configs),
+                    None => exec.run_with_fingerprints(&configs),
                     // Deadline: point-by-point with a cooperative
                     // cancellation check between points. Each result
                     // is byte-identical to the batched path; only the
                     // stats differ (duplicate specs count as cache
                     // hits rather than dedup hits).
                     Some(ms) => {
+                        let mut fingerprints = Vec::with_capacity(configs.len());
                         let mut results = Vec::with_capacity(configs.len());
                         for (done, config) in configs.iter().enumerate() {
                             if deadline_expired(arrival, deadline_ms) {
                                 return Err(deadline_error(ms, done, configs.len()));
                             }
-                            results.push(exec.run_one(config));
+                            let (fp, result) =
+                                exec.run_with_fingerprints(std::slice::from_ref(config));
+                            fingerprints.extend(fp);
+                            results.extend(result);
                         }
-                        results
+                        (fingerprints, results)
                     }
                 };
                 let after = exec.stats();
                 let points: Vec<Value> = fingerprints
-                    .into_iter()
+                    .iter()
                     .zip(&results)
                     .map(|(fp, result)| {
-                        serde_json::json!({ "fingerprint": fp, "result": result })
+                        Value::Map(vec![
+                            ("fingerprint".into(), Value::Str(format!("{fp:016x}"))),
+                            ("result".into(), serde_json::to_value(result)),
+                        ])
                     })
                     .collect();
                 // Where the answers came from: nothing executed means
@@ -912,17 +924,19 @@ fn execute(
                 } else {
                     "partial"
                 };
-                Ok(serde_json::json!({
-                    "results": points,
-                    "served_from": served_from,
-                    "stats": {
+                // Built as a map, not with `json!`, which would copy
+                // `points`.
+                Ok(Value::Map(vec![
+                    ("results".into(), Value::Seq(points)),
+                    ("served_from".into(), Value::Str(served_from.into())),
+                    ("stats".into(), serde_json::json!({
                         "points": after.points - before.points,
                         "cache_hits": after.cache_hits - before.cache_hits,
                         "dedup_hits": after.dedup_hits - before.dedup_hits,
                         "points_executed": after.points_executed - before.points_executed,
                         "trials_executed": after.trials_executed - before.trials_executed,
-                    },
-                }))
+                    })),
+                ]))
             })
         }
         Request::Profile => {

@@ -107,51 +107,63 @@ pub fn config_fingerprint(config: &SimulationConfig) -> u64 {
 /// seeds construct bit-identical overlays/rings at every trial index,
 /// which is exactly the condition under which the engine's per-worker
 /// build memo may answer a trial without rebuilding.
-fn structural_fingerprint(config: &SimulationConfig) -> u64 {
-    let mut canon = String::new();
-    canon.push_str(
-        &serde_json::to_string(&config.scenario).expect("scenario serializes"),
-    );
-    canon.push('|');
-    canon.push_str(config.transport.label());
-    fnv1a(canon.as_bytes(), 0xCBF2_9CE4_8422_2325)
+///
+/// The hash is FNV-1a over `scenario-JSON|transport`, built in `canon`
+/// (cleared first).
+fn structural_hash(config: &SimulationConfig, canon: &mut Vec<u8>) -> u64 {
+    canon.clear();
+    serde_json::to_writer(&mut *canon, &config.scenario).expect("scenario serializes");
+    canon.push(b'|');
+    canon.extend_from_slice(config.transport.label().as_bytes());
+    fnv1a(canon, 0xCBF2_9CE4_8422_2325)
 }
 
 /// Content fingerprint of a config: equal fingerprints ⇒ equal
 /// simulation behavior (same result for the same engine version).
 ///
-/// Split into a *structural* part ([`structural_fingerprint`]: the
+/// Split into a *structural* part ([`structural_hash`]: the
 /// scenario and transport — what gets built) folded together with the
 /// attack/fault part (what happens to the build). Scenario, attack and
 /// policy are folded in via their canonical JSON encoding (stable field
 /// order — serde derives emit fields in declaration order); scalar
 /// knobs are folded in as exact bit patterns, so float knobs that
-/// differ in the last ulp still get distinct fingerprints.
+/// differ in the last ulp still get distinct fingerprints. Both
+/// canonical forms are written into one buffer.
 fn fingerprint(config: &SimulationConfig) -> u64 {
-    let mut canon = format!("s:{:016x}", structural_fingerprint(config));
-    canon.push('|');
-    canon.push_str(&serde_json::to_string(&config.attack).expect("attack serializes"));
-    canon.push('|');
-    canon.push_str(&serde_json::to_string(&config.policy).expect("policy serializes"));
-    canon.push_str(&format!(
-        "|{}|{}|{}",
-        config.trials, config.routes_per_trial, config.seed
-    ));
+    let mut canon = Vec::with_capacity(512);
+    let structural = structural_hash(config, &mut canon);
+    canon.clear();
+    write_canonical(config, structural, &mut canon).expect("writing to a Vec cannot fail");
+    fnv1a(&canon, 0xCBF2_9CE4_8422_2325)
+}
+
+/// Writes the full canonical form of `config` given its structural hash.
+fn write_canonical(
+    config: &SimulationConfig,
+    structural: u64,
+    canon: &mut Vec<u8>,
+) -> io::Result<()> {
+    write!(canon, "s:{structural:016x}|")?;
+    serde_json::to_writer(&mut *canon, &config.attack)?;
+    canon.push(b'|');
+    serde_json::to_writer(&mut *canon, &config.policy)?;
+    write!(canon, "|{}|{}|{}", config.trials, config.routes_per_trial, config.seed)?;
     match config.monitoring_tap {
         // Bit pattern, not decimal: fingerprints must separate taps that
         // differ below printing precision.
-        Some(tap) => canon.push_str(&format!("|tap:{:016x}", tap.to_bits())),
-        None => canon.push_str("|tap:none"),
+        Some(tap) => write!(canon, "|tap:{:016x}", tap.to_bits())?,
+        None => canon.extend_from_slice(b"|tap:none"),
     }
     if config.faults.is_none() {
         // No fault plane is built, so the fault seed and the retry
         // policy are unobservable — canonicalize them away so
         // equivalent configs share a cache entry (`sos-faults` tests
         // pin this invariant).
-        canon.push_str("|faults:none");
+        canon.extend_from_slice(b"|faults:none");
     } else {
         let f = &config.faults;
-        canon.push_str(&format!(
+        write!(
+            canon,
             "|faults:{:016x},{:016x},{},{:016x},{:016x},{},{:016x},{}",
             f.loss_rate.to_bits(),
             f.delay_rate.to_bits(),
@@ -161,14 +173,11 @@ fn fingerprint(config: &SimulationConfig) -> u64 {
             f.slow_ticks,
             f.misroute_rate.to_bits(),
             f.seed,
-        ));
+        )?;
         let r = &config.retry;
-        canon.push_str(&format!(
-            "|retry:{},{},{}",
-            r.max_attempts, r.backoff_base, r.deadline
-        ));
+        write!(canon, "|retry:{},{},{}", r.max_attempts, r.backoff_base, r.deadline)?;
     }
-    fnv1a(canon.as_bytes(), 0xCBF2_9CE4_8422_2325)
+    Ok(())
 }
 
 /// On-disk cache layout (JSON). Fingerprints are hex strings because
@@ -528,6 +537,16 @@ impl SweepExecutor {
     /// Runs every config (answering from cache/dedup where possible)
     /// and returns results in input order.
     pub fn run(&mut self, configs: &[SimulationConfig]) -> Vec<SimulationResult> {
+        self.run_with_fingerprints(configs).1
+    }
+
+    /// [`run`](Self::run), also returning each config's
+    /// [`config_fingerprint`] — for callers that report the keys, which
+    /// then are computed once per point, not twice.
+    pub fn run_with_fingerprints(
+        &mut self,
+        configs: &[SimulationConfig],
+    ) -> (Vec<u64>, Vec<SimulationResult>) {
         self.stats.points += configs.len() as u64;
         telemetry::add_expected_points(configs.len() as u64);
         let fingerprints: Vec<u64> = configs.iter().map(fingerprint).collect();
@@ -601,10 +620,11 @@ impl SweepExecutor {
             }
         }
 
-        fingerprints
+        let results = fingerprints
             .iter()
             .map(|fp| self.memory[fp].clone())
-            .collect()
+            .collect();
+        (fingerprints, results)
     }
 
     /// Appends freshly executed points to the journal and makes them
@@ -778,6 +798,10 @@ mod tests {
     use crate::routing::RoutingPolicy;
     use sos_core::{AttackBudget, AttackConfig, MappingDegree, Scenario, SystemParams};
     use sos_faults::{FaultConfig, RetryPolicy};
+
+    fn structural_fingerprint(config: &SimulationConfig) -> u64 {
+        structural_hash(config, &mut Vec::new())
+    }
 
     fn config(budget: u64, seed: u64) -> SimulationConfig {
         let scenario = Scenario::builder()

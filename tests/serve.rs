@@ -269,6 +269,7 @@ fn responses_carry_request_id_timing_and_served_from() {
     for body in [&cold, &warm] {
         for key in [
             "total_ns",
+            "decode_ns",
             "queue_ns",
             "lock_ns",
             "build_ns",
@@ -437,6 +438,12 @@ fn protocol_errors_carry_stable_codes() {
         "bad-spec"
     );
 
+    // A small frame nested far deeper than a connection thread's stack
+    // could recurse is bad-json, and the daemon keeps serving.
+    assert_eq!(error_code_for(addr, "[".repeat(20_004).as_bytes()), "bad-json");
+    let mut client = Client::connect(addr).expect("connect after deep nesting");
+    assert_eq!(client.ping().expect("ping after deep nesting")["server"].as_str(), Some("sosd"));
+
     // An oversized length prefix is answered with bad-frame, then the
     // connection is closed without reading the body.
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -464,7 +471,7 @@ fn protocol_errors_carry_stable_codes() {
 
     client.shutdown().expect("shutdown");
     let report = handle.join().expect("join");
-    assert!(report.errors >= 5, "{report:?}");
+    assert!(report.errors >= 6, "{report:?}");
 }
 
 #[test]
