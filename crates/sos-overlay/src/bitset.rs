@@ -179,7 +179,10 @@ impl NodeBitSet {
     /// in ascending id order, one `u64` word at a time — the batched
     /// form of `iter().filter(|id| !other.contains(*id))` that the
     /// congestion sampler uses instead of per-member probes.
-    pub fn difference_iter<'a>(&'a self, other: &'a NodeBitSet) -> impl Iterator<Item = NodeId> + 'a {
+    pub fn difference_iter<'a>(
+        &'a self,
+        other: &'a NodeBitSet,
+    ) -> impl Iterator<Item = NodeId> + 'a {
         self.words.iter().enumerate().flat_map(move |(wi, &w)| {
             let base = (wi * WORD_BITS) as u32;
             BitIter {
@@ -247,7 +250,11 @@ impl WordSelect {
     ///
     /// Panics if `rank >= count()`.
     pub fn select(&self, rank: usize) -> usize {
-        assert!(rank < self.count, "select rank {rank} out of {}", self.count);
+        assert!(
+            rank < self.count,
+            "select rank {rank} out of {}",
+            self.count
+        );
         // Last word whose prefix popcount is <= rank.
         let wi = self.prefix.partition_point(|&p| p as usize <= rank) - 1;
         // In-word select by popcount bisection: six halving steps
@@ -406,7 +413,10 @@ mod tests {
             }
             assert!(!set.contains_index(n));
             assert_eq!(
-                set.words().iter().map(|w| w.count_ones() as usize).sum::<usize>(),
+                set.words()
+                    .iter()
+                    .map(|w| w.count_ones() as usize)
+                    .sum::<usize>(),
                 n
             );
         }

@@ -81,8 +81,8 @@ impl ChurnModel {
     /// replacement.
     pub fn step<R: Rng + ?Sized>(&self, overlay: &mut Overlay, rng: &mut R) -> Vec<ChurnEvent> {
         let n = overlay.overlay_node_count();
-        let departures = stochastic_round(rng, n as f64 * self.departure_rate)
-            .min(n as u64) as usize;
+        let departures =
+            stochastic_round(rng, n as f64 * self.departure_rate).min(n as u64) as usize;
         let all: Vec<NodeId> = overlay.overlay_ids().collect();
         let departing = sample_from(rng, &all, departures);
         let mut events = Vec::with_capacity(departing.len());
@@ -126,11 +126,7 @@ impl ChurnModel {
         events
     }
 
-    fn pick_bystander<R: Rng + ?Sized>(
-        &self,
-        overlay: &Overlay,
-        rng: &mut R,
-    ) -> Option<NodeId> {
+    fn pick_bystander<R: Rng + ?Sized>(&self, overlay: &Overlay, rng: &mut R) -> Option<NodeId> {
         let candidates: Vec<NodeId> = overlay
             .overlay_ids()
             .filter(|&id| overlay.role(id) == Role::Bystander && overlay.is_good(id))
@@ -170,7 +166,11 @@ mod tests {
         for _ in 0..10 {
             model.step(&mut o, &mut rng);
         }
-        let total: usize = (1..=3).map(|l| o.layer_members(l).len()).collect::<Vec<_>>().iter().sum();
+        let total: usize = (1..=3)
+            .map(|l| o.layer_members(l).len())
+            .collect::<Vec<_>>()
+            .iter()
+            .sum();
         assert_eq!(total, 60, "promotion must conserve SOS membership");
         // Layer membership and roles stay consistent.
         for layer in 1..=3usize {

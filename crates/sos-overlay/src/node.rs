@@ -8,9 +8,7 @@ use serde::{Deserialize, Serialize};
 /// indices `N..N+F` are filters. The numbering is an implementation
 /// detail of the overlay; use [`crate::overlay::Overlay::role`] to
 /// interpret an id.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 #[serde(transparent)]
 pub struct NodeId(pub u32);
 

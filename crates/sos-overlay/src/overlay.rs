@@ -138,8 +138,7 @@ impl Overlay {
             let boundary = layer_idx + 2; // mapping degree m_{i+1}
             let degree = topo.degree(boundary);
             for &node in &layers[layer_idx] {
-                let k = stochastic_round(rng, degree)
-                    .clamp(1, next.len() as u64) as usize;
+                let k = stochastic_round(rng, degree).clamp(1, next.len() as u64) as usize;
                 sampler.sample_from_into(rng, next, k, &mut neighbors[node.index()]);
             }
         }
@@ -432,9 +431,7 @@ mod tests {
             match o.role(NodeId(i as u32)) {
                 Role::Sos { layer } => {
                     sos_count += 1;
-                    assert!(o
-                        .layer_members(layer as usize)
-                        .contains(&NodeId(i as u32)));
+                    assert!(o.layer_members(layer as usize).contains(&NodeId(i as u32)));
                 }
                 Role::Bystander => bystanders += 1,
                 Role::Filter => panic!("filters live above N"),
@@ -547,10 +544,7 @@ mod tests {
             assert_eq!(a.layer_members(layer), b.layer_members(layer));
         }
         for i in 0..a.total_node_count() {
-            assert_eq!(
-                a.neighbors(NodeId(i as u32)),
-                b.neighbors(NodeId(i as u32))
-            );
+            assert_eq!(a.neighbors(NodeId(i as u32)), b.neighbors(NodeId(i as u32)));
         }
     }
 

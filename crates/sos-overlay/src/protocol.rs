@@ -187,12 +187,7 @@ impl ChordProtocol {
     /// # Panics
     ///
     /// Panics if the network is non-empty or the id collides.
-    pub fn bootstrap(
-        &mut self,
-        id: u64,
-        overlay: NodeId,
-        sched: &mut Scheduler<MaintenanceEvent>,
-    ) {
+    pub fn bootstrap(&mut self, id: u64, overlay: NodeId, sched: &mut Scheduler<MaintenanceEvent>) {
         assert!(self.nodes.is_empty(), "bootstrap requires an empty network");
         self.insert(id, overlay, 0, sched);
     }
@@ -265,7 +260,9 @@ impl ChordProtocol {
     ///
     /// Panics if the id is unknown.
     pub fn kill(&mut self, id: u64) {
-        let slot = self.slot(id).unwrap_or_else(|| panic!("unknown chord id {id}"));
+        let slot = self
+            .slot(id)
+            .unwrap_or_else(|| panic!("unknown chord id {id}"));
         self.nodes[slot as usize].alive = false;
         self.settle = Settle::Disturbed;
     }
@@ -353,7 +350,8 @@ impl ChordProtocol {
     /// key — equal to [`oracle_successor`](Self::oracle_successor) once
     /// converged.
     pub fn lookup(&self, from: u64, key: u64) -> Option<u64> {
-        self.lookup_with_hops(from, key, None).map(|(owner, _)| owner)
+        self.lookup_with_hops(from, key, None)
+            .map(|(owner, _)| owner)
     }
 
     /// Like [`lookup`](Self::lookup) but also reports the hop count the
@@ -454,7 +452,8 @@ impl ChordProtocol {
         // Out of hops. Without a plan the lookup took more steps than
         // there are slots, so it is circling a loop of stale pointers;
         // report the best guess from where the budget ran out.
-        self.first_usable_successor(current, plan).map(|o| (o, hops))
+        self.first_usable_successor(current, plan)
+            .map(|o| (o, hops))
     }
 
     /// The hop budget, over n slots (dead ones included). Greedy

@@ -27,7 +27,9 @@ fn build_overlay(seed: u64) -> Overlay {
 }
 
 fn sos_population(o: &Overlay) -> usize {
-    (1..=o.layer_count()).map(|l| o.layer_members(l).len()).sum()
+    (1..=o.layer_count())
+        .map(|l| o.layer_members(l).len())
+        .sum()
 }
 
 proptest! {
@@ -76,7 +78,14 @@ proptest! {
     }
 }
 
-fn build_protocol(n: usize, seed: u64) -> (ChordProtocol, sos_des::Scheduler<sos_overlay::MaintenanceEvent>, Vec<u64>) {
+fn build_protocol(
+    n: usize,
+    seed: u64,
+) -> (
+    ChordProtocol,
+    sos_des::Scheduler<sos_overlay::MaintenanceEvent>,
+    Vec<u64>,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut proto = ChordProtocol::new(ProtocolConfig::default());
     let mut sched = sos_des::Scheduler::new();
