@@ -132,8 +132,9 @@ see PROTOCOL.md for the wire format, OPERATIONS.md for running it):
     --addr A             listen address                [127.0.0.1:7070]
     --cache F            persistent sweep cache: loaded at startup
                          (warm start, corrupt files quarantined to
-                         F.corrupt), journaled after every executed
-                         point, compacted on drain
+                         F.corrupt), each request's executed points
+                         journaled before it is answered, compacted
+                         on drain
     --threads N          worker threads for this daemon [all cores, max 16]
     --queue-depth N      executor admission bound: further simulate/
                          sweep requests are shed with a `busy` error

@@ -92,7 +92,9 @@ pub struct ServerOptions {
     /// process-global pool (sized by `sos_sim::num_threads`).
     pub threads: Option<usize>,
     /// Persistent sweep-cache file: loaded at bind (warm start),
-    /// journaled after every executed point, compacted on shutdown.
+    /// compacted on shutdown. A request's executed points are
+    /// journaled with one fsync before it is answered; a `sweep` with
+    /// a deadline fsyncs after each point it executes.
     pub cache: Option<PathBuf>,
     /// Admission bound for `simulate`/`sweep`: at most this many such
     /// requests may be executing or waiting on the executor at once;

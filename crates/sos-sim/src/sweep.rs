@@ -27,11 +27,12 @@
 //! [`SimulationResult`] verbatim (bit-for-bit: JSON floats round-trip
 //! exactly), so warm runs reproduce cold CSV output byte-identically.
 //!
-//! Crash safety: every executed point is appended (and fsynced) to a
-//! sidecar journal (`<cache>.journal`) the moment its result exists,
-//! and the main file is only ever replaced atomically (temp + fsync +
-//! rename) — by [`SweepExecutor::persist`] or when the journal grows
-//! past a compaction threshold. Every persisted entry carries a
+//! Crash safety: the points a run executes are appended to a sidecar
+//! journal (`<cache>.journal`) in one write and one `sync_data` before
+//! the run returns its results, and the main file is only ever
+//! replaced atomically (temp + fsync + rename) — by
+//! [`SweepExecutor::persist`] or when the journal grows past a
+//! compaction threshold. Every persisted entry carries a
 //! checksum; at [`SweepExecutor::attach_cache`] a damaged file is
 //! quarantined to `<path>.corrupt` and damaged entries are skipped, so
 //! a torn or bit-flipped cache can cost recomputation but never a
@@ -228,8 +229,9 @@ fn entry_checksum(fingerprint: &str, result: &SimulationResult) -> String {
 }
 
 /// The append-mode journal sitting next to a cache file: one JSON
-/// entry per line, appended (and fsynced) as each sweep point
-/// completes, so results are durable immediately — not only when the
+/// entry per line. Each executor run appends all the points it
+/// executed in one write and one `sync_data` before it returns, so
+/// results are durable before anyone sees them — not only when the
 /// owner drains and rewrites the main file.
 fn journal_path(cache: &Path) -> PathBuf {
     let mut os = cache.as_os_str().to_os_string();
@@ -517,11 +519,11 @@ impl SweepExecutor {
     /// temp file, fsync, rename), and truncates the journal the
     /// rewrite absorbed. No-op without an attached cache.
     ///
-    /// [`run`](Self::run) already journals every executed point as it
-    /// completes; this exists for owners with an explicit lifecycle —
-    /// a resident service flushing state on graceful shutdown, where
-    /// "the main file on disk is current" must hold at a specific
-    /// moment rather than eventually.
+    /// [`run`](Self::run) already journals the points it executes
+    /// before it returns; this exists for owners with an explicit
+    /// lifecycle — a resident service flushing state on graceful
+    /// shutdown, where "the main file on disk is current" must hold at
+    /// a specific moment rather than eventually.
     pub fn persist(&mut self) {
         self.save_cache();
     }
