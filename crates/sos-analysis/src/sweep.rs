@@ -3,7 +3,7 @@
 //! Every figure in the evaluation is a family of `P_S` curves over a
 //! design or attack parameter. [`SweepSeries`] holds one curve,
 //! [`SweepTable`] a figure's worth of curves with CSV `Display` output
-//! (the format the `sos-bench` figure binaries print and the integration
+//! (the format `sos figure` and `full_report` print and the integration
 //! tests parse).
 
 use crate::one_burst::OneBurstAnalysis;

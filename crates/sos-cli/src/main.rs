@@ -1,6 +1,6 @@
 //! `sos` — command-line front end for the sos-resilience workspace.
 //!
-//! See [`commands::USAGE`] (printed by `sos` with no arguments) for the
+//! See [`commands::usage`] (printed by `sos` with no arguments) for the
 //! full flag reference.
 
 mod args;

@@ -3,18 +3,20 @@
 
 Four stages, each a plain cargo/rustc invocation:
 
-  1. build the workspace release binaries with `-Cprofile-generate`,
+  1. build the `full_report` and `sos` release binaries with
+     `-Cprofile-generate`,
   2. run `full_report` (every paper figure and extension) plus the
-     routing and congestion ablation binaries (`ablation_routing`,
-     `fig4a`) so the instrumented binaries write `.profraw` counters
-     covering the whole report, the batched route-evaluation kernel
-     and the congestion phase,
+     routing and congestion sections (`sos figure ablation-routing`,
+     `sos figure fig4a`) so the instrumented binaries write `.profraw`
+     counters covering the whole report, the batched route-evaluation
+     kernel and the congestion phase,
   3. merge the counters with `llvm-profdata` into one `.profdata`,
   4. rebuild with `-Cprofile-use` and verify the optimized binaries are
      *observationally identical* to a plain release build: every file
      `full_report` writes (except `manifest.json`, which holds timings)
-     and the deterministic replay output (`ext_faults --quick`) must
-     match byte for byte.  PGO may only move time, never results.
+     and the deterministic replay output (`sos figure ext-faults` at
+     30 trials × 40 routes) must match byte for byte.  PGO may only
+     move time, never results.
 
 The script needs `llvm-profdata` (rustup: `rustup component add
 llvm-tools`, or any system LLVM).  When the tool is absent the script
@@ -38,13 +40,14 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 # Workloads whose *results* (not timings) must survive PGO unchanged.
-REPLAY_BIN = "ext_faults"
+CLI_BIN = "sos"
+REPLAY_ARGS = ("figure", "ext-faults", "--trials", "30", "--routes", "40")
 REPORT_BIN = "full_report"
 # Extra profiling-only workloads: the routing-policy ablation and the
 # pure-congestion one-burst figure, so the merged profile weighs the
 # batched route-evaluation kernel and the congestion phase beyond their
 # share of the report.
-PROFILE_BINS = ("ablation_routing", "fig4a")
+PROFILE_ARGS = (("figure", "ablation-routing"), ("figure", "fig4a"))
 
 
 def run(cmd: list[str], *, env: dict[str, str] | None = None,
@@ -80,19 +83,15 @@ def cargo_build(target_dir: Path, rustflags: str) -> Path:
     env = dict(os.environ)
     env["CARGO_TARGET_DIR"] = str(target_dir)
     env["RUSTFLAGS"] = rustflags
-    cmd = ["cargo", "build", "--release", "-p", "sos-bench",
-           "--bin", REPORT_BIN, "--bin", REPLAY_BIN]
-    for b in PROFILE_BINS:
-        cmd += ["--bin", b]
-    run(cmd, env=env)
+    run(["cargo", "build", "--release", "-p", "sos-bench", "-p", "sos-cli",
+         "--bin", REPORT_BIN, "--bin", CLI_BIN], env=env)
     return target_dir / "release"
 
 
 def run_report(bindir: Path, out_dir: Path) -> None:
-    """Run `full_report` into `out_dir`, every sweep executed: a sweep
-    cache named in the environment would answer both builds alike."""
-    env = {k: v for k, v in os.environ.items() if k != "SOS_SWEEP_CACHE"}
-    run([str(bindir / REPORT_BIN), str(out_dir)], env=env)
+    """Run `full_report` into `out_dir`, without a sweep cache, so every
+    sweep is executed."""
+    run([str(bindir / REPORT_BIN), str(out_dir)])
 
 
 def differing_files(a: Path, b: Path) -> list[str]:
@@ -107,7 +106,7 @@ def differing_files(a: Path, b: Path) -> list[str]:
 
 def run_workloads(bindir: Path, tag: str, scratch: Path) -> tuple[bytes, Path]:
     """Run the verification workloads; return (replay stdout, report dir)."""
-    replay = run([str(bindir / REPLAY_BIN), "--quick"], capture=True)
+    replay = run([str(bindir / CLI_BIN), *REPLAY_ARGS], capture=True)
     report_dir = scratch / f"report.{tag}"
     run_report(bindir, report_dir)
     return replay.stdout, report_dir
@@ -154,8 +153,8 @@ def main() -> int:
         gen_dir = cargo_build(
             target_dir / "gen", f"-Cprofile-generate={profraw_dir}")
         run_report(gen_dir, scratch / "report.profiled")
-        for b in PROFILE_BINS:
-            run([str(gen_dir / b)], capture=True)
+        for profile_args in PROFILE_ARGS:
+            run([str(gen_dir / CLI_BIN), *profile_args], capture=True)
         raws = sorted(profraw_dir.glob("*.profraw"))
         if not raws:
             print("pgo: instrumented run produced no .profraw files",
@@ -185,7 +184,7 @@ def main() -> int:
         pgo_replay, pgo_report = run_workloads(use_dir, "pgo", scratch)
 
         if pgo_replay != plain_replay:
-            print("pgo: ext_faults replay output differs from the plain "
+            print("pgo: ext-faults replay output differs from the plain "
                   "release build — PGO changed results", file=sys.stderr)
             return 1
         differing = differing_files(plain_report, pgo_report)
