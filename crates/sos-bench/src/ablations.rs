@@ -352,10 +352,7 @@ pub fn multirole_ablation() -> SweepTable {
             .map(|&n_t| SweepPoint {
                 x: n_t as f64,
                 y: mr
-                    .success_probability(
-                        AttackBudget::new(n_t, 2_000),
-                        PathEvaluator::Binomial,
-                    )
+                    .success_probability(AttackBudget::new(n_t, 2_000), PathEvaluator::Binomial)
                     .expect("grid within overlay size")
                     .value(),
             })
@@ -373,14 +370,12 @@ pub fn multirole_ablation() -> SweepTable {
         let points = grid
             .iter()
             .map(|&n_t| {
-                let ps = sos_analysis::OneBurstAnalysis::new(
-                    &scenario,
-                    AttackBudget::new(n_t, 2_000),
-                )
-                .expect("grid within overlay size")
-                .run()
-                .success_probability(PathEvaluator::Binomial)
-                .value();
+                let ps =
+                    sos_analysis::OneBurstAnalysis::new(&scenario, AttackBudget::new(n_t, 2_000))
+                        .expect("grid within overlay size")
+                        .run()
+                        .success_probability(PathEvaluator::Binomial)
+                        .value();
                 SweepPoint {
                     x: n_t as f64,
                     y: ps,
@@ -407,13 +402,10 @@ pub fn monitoring_extension(opts: AblationOptions) -> SweepTable {
     let configs: Vec<SimulationConfig> = taps
         .iter()
         .map(|&tap| {
-            let cfg = SimulationConfig::new(
-                ablation_scenario(MappingDegree::OneTo(2)),
-                attack,
-            )
-            .trials(opts.trials)
-            .routes_per_trial(opts.routes_per_trial)
-            .seed(opts.seed);
+            let cfg = SimulationConfig::new(ablation_scenario(MappingDegree::OneTo(2)), attack)
+                .trials(opts.trials)
+                .routes_per_trial(opts.routes_per_trial)
+                .seed(opts.seed);
             if tap > 0.0 {
                 cfg.monitoring_tap(tap)
             } else {
@@ -487,14 +479,14 @@ pub fn flow_extension(opts: AblationOptions) -> SweepTable {
         points,
     });
     // Binary reference line (same value at every x).
-    let binary = run_sweep(&[SimulationConfig::new(
-        ablation_scenario(MappingDegree::OneTo(2)),
-        attack,
-    )
-    .trials(opts.trials)
-    .routes_per_trial(opts.routes_per_trial)
-    .seed(opts.seed)])
-    .remove(0);
+    let binary =
+        run_sweep(&[
+            SimulationConfig::new(ablation_scenario(MappingDegree::OneTo(2)), attack)
+                .trials(opts.trials)
+                .routes_per_trial(opts.routes_per_trial)
+                .seed(opts.seed),
+        ])
+        .remove(0);
     table.push(SweepSeries {
         label: "binary model".to_string(),
         points: RATIOS
@@ -958,7 +950,12 @@ mod tests {
         // rate. The bare series must visibly decline; the retried one
         // may also stay flat within tolerance — four retries can mask
         // the quick grid's low loss rates almost completely.
-        assert_eq!(trend(&bare.ys(), 0.02), Trend::NonIncreasing, "{:?}", bare.ys());
+        assert_eq!(
+            trend(&bare.ys(), 0.02),
+            Trend::NonIncreasing,
+            "{:?}",
+            bare.ys()
+        );
         let retried_trend = trend(&retried.ys(), 0.02);
         assert!(
             matches!(retried_trend, Trend::NonIncreasing | Trend::Flat),
@@ -975,12 +972,17 @@ mod tests {
     #[test]
     fn protocol_churn_correctness_improves_with_slower_churn() {
         let t = protocol_churn_extension();
-        let s = t.series_by_label("one leave + one join per interval").unwrap();
+        let s = t
+            .series_by_label("one leave + one join per interval")
+            .unwrap();
         let ys = s.ys();
         // Fast churn (interval 2 vs stabilize period 10) breaks lookups;
         // slow churn is near-perfect.
         assert!(ys[0] < 0.8, "interval-2 churn should hurt: {ys:?}");
-        assert!(*ys.last().unwrap() > 0.97, "slow churn should be near-perfect");
+        assert!(
+            *ys.last().unwrap() > 0.97,
+            "slow churn should be near-perfect"
+        );
         assert_eq!(
             sos_math::series::trend(&ys, 0.02),
             sos_math::series::Trend::NonDecreasing,
