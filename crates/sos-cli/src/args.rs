@@ -50,9 +50,9 @@ impl ParsedArgs {
                 let (key, value) = if let Some((k, v)) = stripped.split_once('=') {
                     (k.to_string(), v.to_string())
                 } else {
-                    let value = iter.next().ok_or_else(|| {
-                        ArgError(format!("flag --{stripped} expects a value"))
-                    })?;
+                    let value = iter
+                        .next()
+                        .ok_or_else(|| ArgError(format!("flag --{stripped} expects a value")))?;
                     (stripped.to_string(), value)
                 };
                 if out.flags.insert(key.clone(), value).is_some() {
@@ -88,9 +88,9 @@ impl ParsedArgs {
     {
         match self.get(key) {
             None => Ok(default),
-            Some(raw) => raw.parse::<T>().map_err(|e| {
-                ArgError(format!("flag --{key}: cannot parse {raw:?}: {e}"))
-            }),
+            Some(raw) => raw
+                .parse::<T>()
+                .map_err(|e| ArgError(format!("flag --{key}: cannot parse {raw:?}: {e}"))),
         }
     }
 

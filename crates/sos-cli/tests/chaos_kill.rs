@@ -18,7 +18,14 @@ fn bin() -> &'static str {
 /// readiness line).
 fn spawn_daemon(cache: &Path) -> (Child, String) {
     let mut child = Command::new(bin())
-        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "1", "--cache"])
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--threads",
+            "1",
+            "--cache",
+        ])
         .arg(cache)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -28,8 +35,16 @@ fn spawn_daemon(cache: &Path) -> (Child, String) {
     let mut reader = BufReader::new(stdout);
     let mut line = String::new();
     reader.read_line(&mut line).expect("read readiness line");
-    assert!(line.contains("sosd listening on"), "unexpected readiness line: {line:?}");
-    let addr = line.trim().rsplit(' ').next().expect("address token").to_string();
+    assert!(
+        line.contains("sosd listening on"),
+        "unexpected readiness line: {line:?}"
+    );
+    let addr = line
+        .trim()
+        .rsplit(' ')
+        .next()
+        .expect("address token")
+        .to_string();
     // Keep draining stdout so the daemon never blocks on a full pipe.
     std::thread::spawn(move || {
         let mut sink = String::new();
@@ -89,7 +104,10 @@ fn sigkilled_daemon_restarts_with_byte_identical_warm_answers() {
             .expect("parse sweep reply");
     assert_eq!(before["stats"]["points_executed"].as_u64(), Some(3));
     let journal_len = std::fs::metadata(&journal).map(|m| m.len()).unwrap_or(0);
-    assert!(journal_len > 0, "completed points must already be journaled");
+    assert!(
+        journal_len > 0,
+        "completed points must already be journaled"
+    );
 
     // Crash: SIGKILL, no drain, no cache rewrite.
     daemon_a.kill().expect("SIGKILL daemon");
