@@ -143,7 +143,10 @@ mod tests {
         };
         let csv = row.to_string();
         assert!(csv.starts_with("demo,1.000000,0.900000,0.850000"));
-        assert_eq!(ComparisonRow::CSV_HEADER.split(',').count(), csv.split(',').count());
+        assert_eq!(
+            ComparisonRow::CSV_HEADER.split(',').count(),
+            csv.split(',').count()
+        );
         assert!((row.binomial_gap() - 0.05).abs() < 1e-12);
         assert!((row.hypergeometric_gap() - 0.15).abs() < 1e-12);
     }

@@ -27,8 +27,6 @@ use crate::route_batch::RouteBatchScratch;
 use crate::routing::{RouteIncident, RouteIncidentKind, RouteScratch, RoutingPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use sos_attack::{OneBurstAttacker, SuccessiveAttacker};
 use sos_core::{AttackConfig, PathEvaluator, Scenario};
 use sos_faults::{Fallback, FaultConfig, FaultPlan, HopIncident, RetryPolicy};
@@ -36,6 +34,8 @@ use sos_math::stats::{proportion_ci, ConfidenceInterval, RunningStats, SummarySt
 use sos_observe::telemetry::{self, PhaseKind, PhaseTimer};
 use sos_observe::{Event, EventKind, FallbackMode, FaultClass, MetricsRegistry, Phase, Recorder};
 use sos_overlay::{ChordRing, NodeBitSet, NodeId, Overlay, Transport};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Stream tags for [`trial_stream_seed`]: each per-trial RNG stream is
 /// keyed by one of these, so streams are mutually decorrelated and a
@@ -295,34 +295,62 @@ fn emit_incident(o: &mut Observation<'_>, t: &mut u64, trial: u64, incident: &Ro
     let (from, to) = (incident.from, incident.to);
     let kind = match incident.kind {
         RouteIncidentKind::Hop(hop) => match hop {
-            HopIncident::Loss { .. } => {
-                Some(EventKind::FaultInjected { from, to, fault: FaultClass::Loss, ticks: 0 })
-            }
-            HopIncident::Delay { ticks } => {
-                Some(EventKind::FaultInjected { from, to, fault: FaultClass::Delay, ticks })
-            }
+            HopIncident::Loss { .. } => Some(EventKind::FaultInjected {
+                from,
+                to,
+                fault: FaultClass::Loss,
+                ticks: 0,
+            }),
+            HopIncident::Delay { ticks } => Some(EventKind::FaultInjected {
+                from,
+                to,
+                fault: FaultClass::Delay,
+                ticks,
+            }),
             HopIncident::CrashedDestination | HopIncident::CrashedRoute => {
-                Some(EventKind::FaultInjected { from, to, fault: FaultClass::Crash, ticks: 0 })
+                Some(EventKind::FaultInjected {
+                    from,
+                    to,
+                    fault: FaultClass::Crash,
+                    ticks: 0,
+                })
             }
-            HopIncident::Slow { ticks } => {
-                Some(EventKind::FaultInjected { from, to, fault: FaultClass::Slow, ticks })
-            }
-            HopIncident::Misroute { .. } => {
-                Some(EventKind::FaultInjected { from, to, fault: FaultClass::Misroute, ticks: 0 })
-            }
-            HopIncident::Retry { attempt, backoff } => {
-                Some(EventKind::HopRetry { from, to, attempt, backoff })
-            }
+            HopIncident::Slow { ticks } => Some(EventKind::FaultInjected {
+                from,
+                to,
+                fault: FaultClass::Slow,
+                ticks,
+            }),
+            HopIncident::Misroute { .. } => Some(EventKind::FaultInjected {
+                from,
+                to,
+                fault: FaultClass::Misroute,
+                ticks: 0,
+            }),
+            HopIncident::Retry { attempt, backoff } => Some(EventKind::HopRetry {
+                from,
+                to,
+                attempt,
+                backoff,
+            }),
             // A spent deadline is already implied by the lack of further
             // retries; it carries no event of its own.
             HopIncident::DeadlineExhausted { .. } => None,
         },
-        RouteIncidentKind::Downgrade { fallback, recovered } => {
+        RouteIncidentKind::Downgrade {
+            fallback,
+            recovered,
+        } => {
             let fallback = match fallback {
                 Fallback::SuccessorWalk => FallbackMode::SuccessorWalk,
                 Fallback::AlternateNeighbor => FallbackMode::AlternateNeighbor,
             };
-            Some(EventKind::RouteDowngrade { from, to, fallback, recovered })
+            Some(EventKind::RouteDowngrade {
+                from,
+                to,
+                fallback,
+                recovered,
+            })
         }
     };
     if matches!(kind, Some(EventKind::FaultInjected { .. })) {
@@ -702,11 +730,7 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics if `half_width` is not in `(0, 0.5)` or `max_trials == 0`.
-    pub fn run_until_precision(
-        &self,
-        half_width: f64,
-        max_trials: u64,
-    ) -> (SimulationResult, u64) {
+    pub fn run_until_precision(&self, half_width: f64, max_trials: u64) -> (SimulationResult, u64) {
         assert!(
             half_width > 0.0 && half_width < 0.5,
             "half width must be in (0, 0.5), got {half_width}"
@@ -734,11 +758,7 @@ impl Simulation {
             }]);
             partial.merge(&outputs.remove(0).partial);
             done = next;
-            let ci = sos_math::stats::proportion_ci(
-                partial.successes,
-                partial.attempts,
-                0.95,
-            );
+            let ci = sos_math::stats::proportion_ci(partial.successes, partial.attempts, 0.95);
             if ci.half_width() <= half_width || done >= max_trials {
                 return (self.finish(partial), done);
             }
@@ -844,13 +864,7 @@ impl Simulation {
         if let Some(o) = obs.as_deref_mut() {
             let attack_start = t;
             if o.recorder.enabled() {
-                sos_attack::emit_attack_events(
-                    &outcome.trace,
-                    overlay,
-                    trial,
-                    &mut t,
-                    o.recorder,
-                );
+                sos_attack::emit_attack_events(&outcome.trace, overlay, trial, &mut t, o.recorder);
             } else {
                 // Keep the tick clock honest without replaying: the
                 // bridge emits one tick per trace event plus the 3-4
@@ -903,9 +917,13 @@ impl Simulation {
         timer.reset();
         let routing_start = t;
         if let Some(o) = obs.as_deref_mut() {
-            o.emit(&mut t, trial, EventKind::PhaseStart {
-                phase: Phase::Routing,
-            });
+            o.emit(
+                &mut t,
+                trial,
+                EventKind::PhaseStart {
+                    phase: Phase::Routing,
+                },
+            );
         }
         // Batched SoA liveness: resolve the ring's per-position alive
         // bits once, after attack damage and the fault plan are final;
@@ -958,19 +976,27 @@ impl Simulation {
                         o.metrics.counter("route_downgrades").add(result.downgrades);
                     }
                     if result.delivered {
-                        o.emit(&mut t, trial, EventKind::RouteDelivered {
-                            route,
-                            hops: result.underlay_hops as u32,
-                        });
+                        o.emit(
+                            &mut t,
+                            trial,
+                            EventKind::RouteDelivered {
+                                route,
+                                hops: result.underlay_hops as u32,
+                            },
+                        );
                         o.metrics
                             .histogram("route_hops", &hop_bounds())
                             .record(result.underlay_hops as f64);
                         o.metrics.counter("routes_delivered").inc();
                     } else {
-                        o.emit(&mut t, trial, EventKind::RouteFailed {
-                            route,
-                            deepest_layer: result.deepest_layer as u32,
-                        });
+                        o.emit(
+                            &mut t,
+                            trial,
+                            EventKind::RouteFailed {
+                                route,
+                                deepest_layer: result.deepest_layer as u32,
+                            },
+                        );
                         o.metrics.counter("routes_failed").inc();
                     }
                     o.metrics.counter("routes_attempted").inc();
@@ -995,13 +1021,21 @@ impl Simulation {
             .per_trial
             .push(delivered as f64 / cfg.routes_per_trial as f64);
         if let Some(o) = obs {
-            o.emit(&mut t, trial, EventKind::PhaseEnd {
-                phase: Phase::Routing,
-            });
-            o.emit(&mut t, trial, EventKind::TrialEnd {
-                delivered,
-                attempted: cfg.routes_per_trial,
-            });
+            o.emit(
+                &mut t,
+                trial,
+                EventKind::PhaseEnd {
+                    phase: Phase::Routing,
+                },
+            );
+            o.emit(
+                &mut t,
+                trial,
+                EventKind::TrialEnd {
+                    delivered,
+                    attempted: cfg.routes_per_trial,
+                },
+            );
             o.metrics
                 .histogram("per_trial_delivery", &delivery_bounds())
                 .record(delivered as f64 / cfg.routes_per_trial as f64);
@@ -1165,10 +1199,7 @@ mod tests {
         assert_eq!(seq.per_trial.count, par.per_trial.count);
         assert!((seq.per_trial.mean - par.per_trial.mean).abs() < 1e-12);
         assert!((seq.realized_ps_binomial - par.realized_ps_binomial).abs() < 1e-12);
-        assert!(
-            (seq.realized_ps_hypergeometric - par.realized_ps_hypergeometric).abs()
-                < 1e-12
-        );
+        assert!((seq.realized_ps_hypergeometric - par.realized_ps_hypergeometric).abs() < 1e-12);
     }
 
     #[test]
@@ -1177,13 +1208,10 @@ mod tests {
         // model is near-exact, so the simulation must agree closely.
         let scenario = scenario(1_000, 60, 3, MappingDegree::ONE_TO_ONE);
         let budget = AttackBudget::new(0, 200);
-        let cfg = SimulationConfig::new(
-            scenario.clone(),
-            AttackConfig::OneBurst { budget },
-        )
-        .trials(150)
-        .routes_per_trial(100)
-        .seed(5);
+        let cfg = SimulationConfig::new(scenario.clone(), AttackConfig::OneBurst { budget })
+            .trials(150)
+            .routes_per_trial(100)
+            .seed(5);
         let sim = Simulation::new(cfg).run_parallel(4);
         let analytic = sos_analysis::OneBurstAnalysis::new(&scenario, budget)
             .unwrap()
@@ -1207,10 +1235,9 @@ mod tests {
             quick(attack, MappingDegree::OneTo(2)).transport(TransportKind::Direct),
         )
         .run();
-        let chord = Simulation::new(
-            quick(attack, MappingDegree::OneTo(2)).transport(TransportKind::Chord),
-        )
-        .run();
+        let chord =
+            Simulation::new(quick(attack, MappingDegree::OneTo(2)).transport(TransportKind::Chord))
+                .run();
         // Chord adds failure modes (intermediate hops) and path length.
         assert!(chord.success_rate() <= direct.success_rate() + 0.02);
         assert!(chord.mean_underlay_hops > direct.mean_underlay_hops);
@@ -1297,8 +1324,7 @@ mod tests {
             MappingDegree::OneTo(2),
         );
         let plain = Simulation::new(cfg.clone()).run();
-        let (traced, metrics) =
-            Simulation::new(cfg.clone()).run_traced(&sos_observe::NullRecorder);
+        let (traced, metrics) = Simulation::new(cfg.clone()).run_traced(&sos_observe::NullRecorder);
         // Tracing only observes the trial streams; the result is
         // bit-identical, not merely statistically equal.
         assert_eq!(plain, traced);
@@ -1343,8 +1369,7 @@ mod tests {
         )
         .transport(TransportKind::Chord);
         let plain = Simulation::new(cfg.clone()).run();
-        let (traced, metrics) =
-            Simulation::new(cfg).run_traced(&sos_observe::NullRecorder);
+        let (traced, metrics) = Simulation::new(cfg).run_traced(&sos_observe::NullRecorder);
         assert_eq!(plain, traced);
         // 8 sampled lookups per trial × 40 trials.
         let lookups = metrics.get_histogram("lookup_hops").unwrap();
@@ -1445,8 +1470,7 @@ mod tests {
         )
         .retry(sos_faults::RetryPolicy::new(3, 1, 128));
         let plain = Simulation::new(cfg.clone()).run();
-        let (traced, metrics) =
-            Simulation::new(cfg.clone()).run_traced(&sos_observe::NullRecorder);
+        let (traced, metrics) = Simulation::new(cfg.clone()).run_traced(&sos_observe::NullRecorder);
         assert_eq!(plain, traced);
         assert!(
             metrics.counter_value("faults_injected").unwrap_or(0) > 0,
@@ -1502,7 +1526,10 @@ mod tests {
             .count() as u64;
         assert_eq!(Some(faults), metrics.counter_value("faults_injected"));
         assert_eq!(Some(retries), metrics.counter_value("hop_retries"));
-        assert!(faults > 0 && retries > 0, "{faults} faults, {retries} retries");
+        assert!(
+            faults > 0 && retries > 0,
+            "{faults} faults, {retries} retries"
+        );
     }
 
     #[test]
@@ -1525,7 +1552,10 @@ mod tests {
                 let par = Simulation::new(cfg.clone()).run_parallel(threads);
                 assert_eq!(serial.successes, par.successes, "{threads} threads");
                 assert_eq!(serial.attempts, par.attempts, "{threads} threads");
-                assert_eq!(serial.failure_depths, par.failure_depths, "{threads} threads");
+                assert_eq!(
+                    serial.failure_depths, par.failure_depths,
+                    "{threads} threads"
+                );
                 assert_eq!(serial.per_trial.count, par.per_trial.count);
                 assert!((serial.per_trial.mean - par.per_trial.mean).abs() < 1e-12);
                 // Across thread counts the parallel path is exact: the

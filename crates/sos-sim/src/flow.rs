@@ -141,9 +141,8 @@ impl FlowSimulation {
         let mut candidates: Vec<NodeId> = Vec::new();
         let mut reused: Option<Overlay> = None;
         for trial in 0..self.trials {
-            let mut rng = StdRng::seed_from_u64(
-                self.seed ^ trial.wrapping_mul(0xA076_1D64_78BD_642F),
-            );
+            let mut rng =
+                StdRng::seed_from_u64(self.seed ^ trial.wrapping_mul(0xA076_1D64_78BD_642F));
             // `build_into` draws exactly what `build` draws.
             let overlay = match &mut reused {
                 Some(overlay) => {

@@ -75,20 +75,20 @@ pub mod routing;
 pub mod sweep;
 pub mod timing;
 
-pub use compare::{ComparisonRow, compare_models};
+pub use compare::{compare_models, ComparisonRow};
 pub use engine::{
     num_threads, route_lane_seed, stream, trial_stream_seed, Simulation, SimulationConfig,
     SimulationResult, TransportKind,
 };
+pub use flow::{FlowModel, FlowResult, FlowSimulation};
 pub use pool::pool_map;
+pub use repair::{RepairConfig, RepairSimulation, RepairTimeline};
 pub use route_batch::RouteBatchScratch;
+pub use routing::{
+    route, RouteCtx, RouteIncident, RouteIncidentKind, RouteResult, RouteScratch, RoutingPolicy,
+};
 pub use sweep::{
     config_fingerprint, persist_global_cache, run_sweep, set_global_cache, sweep_stats,
     CacheLoadReport, SweepExecutor, SweepStats,
-};
-pub use flow::{FlowModel, FlowResult, FlowSimulation};
-pub use repair::{RepairConfig, RepairSimulation, RepairTimeline};
-pub use routing::{
-    route, RouteCtx, RouteIncident, RouteIncidentKind, RouteResult, RouteScratch, RoutingPolicy,
 };
 pub use timing::{measure_latency, LatencyDistribution};

@@ -665,10 +665,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sos_core::{
-        AttackBudget, AttackConfig, MappingDegree, Scenario, SystemParams,
-    };
     use crate::engine::SimulationConfig;
+    use sos_core::{AttackBudget, AttackConfig, MappingDegree, Scenario, SystemParams};
 
     fn sim(seed: u64, trials: u64) -> Arc<Simulation> {
         let scenario = Scenario::builder()

@@ -180,20 +180,18 @@ impl RepairSimulation {
         let mut scratch = RouteScratch::new();
 
         for trial in 0..self.trials {
-            let mut rng = StdRng::seed_from_u64(
-                self.seed ^ trial.wrapping_mul(0xD134_2543_DE82_EF95),
-            );
+            let mut rng =
+                StdRng::seed_from_u64(self.seed ^ trial.wrapping_mul(0xD134_2543_DE82_EF95));
             let plan = (!self.faults.is_none()).then(|| FaultPlan::new(&self.faults, trial));
             let mut overlay = Overlay::build(&self.scenario, &mut rng);
             let disclosed: HashSet<NodeId> = match self.attack {
                 AttackConfig::OneBurst { budget } => {
-                    let outcome =
-                        OneBurstAttacker::new(budget).execute(&mut overlay, &mut rng);
+                    let outcome = OneBurstAttacker::new(budget).execute(&mut overlay, &mut rng);
                     outcome.disclosed.into_iter().collect()
                 }
                 AttackConfig::Successive { budget, params } => {
-                    let outcome = SuccessiveAttacker::new(budget, params)
-                        .execute(&mut overlay, &mut rng);
+                    let outcome =
+                        SuccessiveAttacker::new(budget, params).execute(&mut overlay, &mut rng);
                     outcome.disclosed.into_iter().collect()
                 }
             };

@@ -213,12 +213,24 @@ impl RouteBatchScratch {
             // changes no outcomes and draws nothing from the plan's
             // counted fault streams. The oracle runs lanes in route
             // order, preserving the scalar draw sequence exactly.
-            let RouteBatchScratch { lanes, memo, trace, .. } = self;
-            let ctx = RouteCtx { overlay, transport, policy, faults, retry, alive };
+            let RouteBatchScratch {
+                lanes, memo, trace, ..
+            } = self;
+            let ctx = RouteCtx {
+                overlay,
+                transport,
+                policy,
+                faults,
+                retry,
+                alive,
+            };
             let mut pricer = match (batched, transport, alive) {
-                (true, Transport::Chord(ring), Some(mask)) => {
-                    Some(ChordMemoPricer { ring, mask, memo, trace })
-                }
+                (true, Transport::Chord(ring), Some(mask)) => Some(ChordMemoPricer {
+                    ring,
+                    mask,
+                    memo,
+                    trace,
+                }),
                 _ => None,
             };
             for (k, lane) in lanes[..count].iter_mut().enumerate() {
@@ -454,7 +466,10 @@ fn hop_hops(
         // The fast path never runs on other transports (see `evaluate`);
         // fall back to the canonical delivery for completeness.
         other => {
-            let hop = HopCtx { alive, ..HopCtx::new(overlay) };
+            let hop = HopCtx {
+                alive,
+                ..HopCtx::new(overlay)
+            };
             match other.deliver(&hop, from, to, None).outcome {
                 DeliveryOutcome::Delivered { hops } => Some(hops),
                 DeliveryOutcome::Blocked => None,
@@ -495,7 +510,11 @@ fn memo_chord_hops(
             for (i, &mid) in trace.iter().enumerate() {
                 // Intermediates strictly precede the owner, so their
                 // remaining hop counts stay >= 1 (`max(1)` vacuous).
-                let suffix = if hops == BLOCKED { BLOCKED } else { hops - (i as u32 + 1) };
+                let suffix = if hops == BLOCKED {
+                    BLOCKED
+                } else {
+                    hops - (i as u32 + 1)
+                };
                 memo.insert(memo_key(mid, to), suffix);
             }
             hops
@@ -556,7 +575,9 @@ impl ChordMemoPricer<'_> {
         if hops == BLOCKED {
             DeliveryOutcome::Blocked
         } else {
-            DeliveryOutcome::Delivered { hops: hops as usize }
+            DeliveryOutcome::Delivered {
+                hops: hops as usize,
+            }
         }
     }
 }

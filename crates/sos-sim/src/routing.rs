@@ -296,9 +296,13 @@ fn greedy_route<R: Rng + ?Sized>(
     scratch: &mut RouteScratch,
     mut pricer: Option<&mut ChordMemoPricer<'_>>,
 ) {
-    let RouteCtx { overlay, faults, .. } = *ctx;
+    let RouteCtx {
+        overlay, faults, ..
+    } = *ctx;
     let last_layer = overlay.layer_count() + 1; // filters
-    let RouteScratch { candidates, result, .. } = scratch;
+    let RouteScratch {
+        candidates, result, ..
+    } = scratch;
     // `candidates` are the potential nodes at the next layer (initially
     // the client's entry set); the "client hop" into layer 1 is a plain
     // reachability check (clients talk to SOAPs directly).
@@ -318,9 +322,7 @@ fn greedy_route<R: Rng + ?Sized>(
                     // Client → first layer: direct contact. Benign
                     // crashes make the contact unreachable; loss/delay
                     // are modelled only on overlay hops.
-                    if overlay.is_good(cand)
-                        && faults.is_none_or(|p| !p.is_crashed(cand.0))
-                    {
+                    if overlay.is_good(cand) && faults.is_none_or(|p| !p.is_crashed(cand.0)) {
                         next = Some((cand, 1usize));
                         break;
                     }
@@ -345,9 +347,8 @@ fn greedy_route<R: Rng + ?Sized>(
                     // Hop failed. Degradation only applies to *fault*
                     // failures (destination good and not crashed) and
                     // only when the fault plane is active at all.
-                    let fault_failure = faults.is_some_and(|p| {
-                        overlay.is_good(cand) && !p.is_crashed(cand.0)
-                    });
+                    let fault_failure =
+                        faults.is_some_and(|p| overlay.is_good(cand) && !p.is_crashed(cand.0));
                     if fault_failure {
                         // Stage 1: successor-list walking.
                         let walked = ctx.transport.deliver_degraded(&ctx.hop(), v, cand);
@@ -411,7 +412,9 @@ fn backtracking_route<R: Rng + ?Sized>(
     scratch: &mut RouteScratch,
     mut pricer: Option<&mut ChordMemoPricer<'_>>,
 ) {
-    let RouteCtx { overlay, faults, .. } = *ctx;
+    let RouteCtx {
+        overlay, faults, ..
+    } = *ctx;
     let last_layer = overlay.layer_count() + 1; // filters
     let RouteScratch {
         candidates: entries,
@@ -436,9 +439,7 @@ fn backtracking_route<R: Rng + ?Sized>(
     }
     let mut stack: Vec<Frame> = entries
         .drain(..)
-        .filter(|&e| {
-            overlay.is_good(e) && faults.is_none_or(|p| !p.is_crashed(e.0))
-        })
+        .filter(|&e| overlay.is_good(e) && faults.is_none_or(|p| !p.is_crashed(e.0)))
         .map(|e| Frame {
             node: e,
             path: vec![e],
@@ -662,7 +663,13 @@ mod tests {
                 let plain = fresh(&RouteCtx::new(&o, &Transport::Direct, policy), &mut a);
                 let retry = RetryPolicy::new(8, 2, 1_000);
                 let clean = RouteCtx::new(&o, &Transport::Direct, policy);
-                let faulted = fresh(&RouteCtx { retry: &retry, ..clean }, &mut b);
+                let faulted = fresh(
+                    &RouteCtx {
+                        retry: &retry,
+                        ..clean
+                    },
+                    &mut b,
+                );
                 assert_eq!(plain, faulted);
                 assert_eq!(faulted.retries, 0);
                 assert_eq!(faulted.downgrades, 0);
@@ -686,7 +693,11 @@ mod tests {
             for trial in 0..120u64 {
                 let plan = FaultPlan::new(&cfg, trial);
                 let clean = RouteCtx::new(&o, &Transport::Direct, RoutingPolicy::FirstGood);
-                let ctx = RouteCtx { faults: Some(&plan), retry: &retry, ..clean };
+                let ctx = RouteCtx {
+                    faults: Some(&plan),
+                    retry: &retry,
+                    ..clean
+                };
                 let r = fresh(&ctx, &mut rng);
                 delivered += u32::from(r.delivered);
                 retries += r.retries;
@@ -715,7 +726,13 @@ mod tests {
         for trial in 0..60u64 {
             let plan = FaultPlan::new(&cfg, trial);
             let clean = RouteCtx::new(&o, &Transport::Direct, RoutingPolicy::RandomGood);
-            let r = fresh(&RouteCtx { faults: Some(&plan), ..clean }, &mut rng);
+            let r = fresh(
+                &RouteCtx {
+                    faults: Some(&plan),
+                    ..clean
+                },
+                &mut rng,
+            );
             for i in &r.incidents {
                 match i.kind {
                     RouteIncidentKind::Hop(HopIncident::Loss { .. }) => saw_loss = true,
@@ -771,10 +788,18 @@ mod tests {
                 let retry = RetryPolicy::new(3, 1, 128);
                 let clean = RouteCtx::new(&o, &Transport::Direct, policy);
                 let fresh = fresh(
-                    &RouteCtx { faults: plan_a.as_ref(), retry: &retry, ..clean },
+                    &RouteCtx {
+                        faults: plan_a.as_ref(),
+                        retry: &retry,
+                        ..clean
+                    },
                     &mut a,
                 );
-                let ctx_b = RouteCtx { faults: plan_b.as_ref(), retry: &retry, ..clean };
+                let ctx_b = RouteCtx {
+                    faults: plan_b.as_ref(),
+                    retry: &retry,
+                    ..clean
+                };
                 let reused = route(&ctx_b, &mut b, &mut scratch);
                 assert_eq!(&fresh, reused, "{policy} trial {trial}");
                 assert_eq!(a.gen::<u64>(), b.gen::<u64>());
@@ -793,7 +818,14 @@ mod tests {
         for policy in [RoutingPolicy::RandomGood, RoutingPolicy::Backtracking] {
             let retry = RetryPolicy::new(4, 1, 64);
             let clean = RouteCtx::new(&o, &Transport::Direct, policy);
-            let r = fresh(&RouteCtx { faults: Some(&plan), retry: &retry, ..clean }, &mut rng);
+            let r = fresh(
+                &RouteCtx {
+                    faults: Some(&plan),
+                    retry: &retry,
+                    ..clean
+                },
+                &mut rng,
+            );
             assert!(!r.delivered);
             assert_eq!(r.deepest_layer, 0);
             assert_eq!(r.retries, 0, "crashes are permanent, never retried");

@@ -30,7 +30,9 @@ fn grid() -> Vec<SimulationConfig> {
             configs.push(
                 SimulationConfig::new(
                     scenario(2),
-                    AttackConfig::OneBurst { budget: AttackBudget::new(10, nc) },
+                    AttackConfig::OneBurst {
+                        budget: AttackBudget::new(10, nc),
+                    },
                 )
                 .trials(6)
                 .routes_per_trial(12)
@@ -41,7 +43,9 @@ fn grid() -> Vec<SimulationConfig> {
         configs.push(
             SimulationConfig::new(
                 scenario(4),
-                AttackConfig::OneBurst { budget: AttackBudget::new(10, 80) },
+                AttackConfig::OneBurst {
+                    budget: AttackBudget::new(10, 80),
+                },
             )
             .trials(6)
             .routes_per_trial(12)

@@ -1,7 +1,9 @@
 //! Integration tests for the traced simulation path: event ordering,
 //! determinism under a fixed seed, and sink round-trips.
 
-use sos_core::{AttackBudget, AttackConfig, MappingDegree, Scenario, SuccessiveParams, SystemParams};
+use sos_core::{
+    AttackBudget, AttackConfig, MappingDegree, Scenario, SuccessiveParams, SystemParams,
+};
 use sos_observe::{Event, EventKind, MemoryRecorder, Phase};
 use sos_sim::engine::{Simulation, SimulationConfig};
 
@@ -63,15 +65,21 @@ fn phase_events_are_ordered_within_every_trial() {
         // before routing opens; every break-in attempt precedes every
         // congestion onset (the paper's two attack phases).
         let break_in_start = first_tick(&events, trial, |k| {
-            *k == EventKind::PhaseStart { phase: Phase::BreakIn }
+            *k == EventKind::PhaseStart {
+                phase: Phase::BreakIn,
+            }
         })
         .expect("break-in span");
         let congestion_start = first_tick(&events, trial, |k| {
-            *k == EventKind::PhaseStart { phase: Phase::Congestion }
+            *k == EventKind::PhaseStart {
+                phase: Phase::Congestion,
+            }
         })
         .expect("congestion span");
         let routing_start = first_tick(&events, trial, |k| {
-            *k == EventKind::PhaseStart { phase: Phase::Routing }
+            *k == EventKind::PhaseStart {
+                phase: Phase::Routing,
+            }
         })
         .expect("routing span");
         assert!(break_in_start < congestion_start);
@@ -144,7 +152,9 @@ fn sinks_render_the_trace() {
     let events = run_traced_events();
     let jsonl = sos_observe::write_jsonl(&events);
     assert_eq!(jsonl.lines().count(), events.len());
-    assert!(jsonl.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
+    assert!(jsonl
+        .lines()
+        .all(|l| l.starts_with('{') && l.ends_with('}')));
     assert!(jsonl.contains("\"kind\":\"break_in_attempt\""));
 
     let timeline = sos_observe::render_timeline(&events);

@@ -210,11 +210,7 @@ proptest! {
     }
 }
 
-fn sim_config(
-    transport: TransportKind,
-    policy: RoutingPolicy,
-    faulted: bool,
-) -> SimulationConfig {
+fn sim_config(transport: TransportKind, policy: RoutingPolicy, faulted: bool) -> SimulationConfig {
     let mut cfg = SimulationConfig::new(
         scenario(),
         AttackConfig::OneBurst {
