@@ -168,7 +168,11 @@ impl ChaosProxy {
             .name(String::from("sos-chaos-accept"))
             .spawn(move || accept_loop(&listener, &accept_shared))
             .expect("spawn chaos accept loop");
-        Ok(ChaosProxy { addr, shared, accept: Some(accept) })
+        Ok(ChaosProxy {
+            addr,
+            shared,
+            accept: Some(accept),
+        })
     }
 
     /// The proxy's listen address — point clients here instead of at
@@ -260,10 +264,7 @@ fn handle(client: TcpStream, decision: Decision, shared: &ProxyShared) {
     // byte limit / delay. Each direction pumps on its own thread and
     // tears down both sockets when it finishes, which unblocks the
     // other pump.
-    let c2u = (
-        client.try_clone().ok(),
-        upstream.try_clone().ok(),
-    );
+    let c2u = (client.try_clone().ok(), upstream.try_clone().ok());
     let request_pump = match c2u {
         (Some(from), Some(to)) => std::thread::Builder::new()
             .name(String::from("sos-chaos-up"))
@@ -339,7 +340,10 @@ mod tests {
 
     #[test]
     fn zero_rates_are_always_clean() {
-        let cfg = ChaosConfig { seed: 9, ..ChaosConfig::default() };
+        let cfg = ChaosConfig {
+            seed: 9,
+            ..ChaosConfig::default()
+        };
         assert!((0..512).all(|k| cfg.decide(k) == Decision::Clean));
     }
 
@@ -371,11 +375,23 @@ mod tests {
             }
         }
         let freq = |count: u64| count as f64 / n as f64;
-        assert!((freq(dropped) - 0.25).abs() < 0.02, "drop {}", freq(dropped));
+        assert!(
+            (freq(dropped) - 0.25).abs() < 0.02,
+            "drop {}",
+            freq(dropped)
+        );
         // truncate/stall rates apply to the remainder after earlier
         // classes: 0.75 * 0.25 and 0.75 * 0.75 * 0.25.
-        assert!((freq(truncated) - 0.1875).abs() < 0.02, "truncate {}", freq(truncated));
-        assert!((freq(stalled) - 0.1406).abs() < 0.02, "stall {}", freq(stalled));
+        assert!(
+            (freq(truncated) - 0.1875).abs() < 0.02,
+            "truncate {}",
+            freq(truncated)
+        );
+        assert!(
+            (freq(stalled) - 0.1406).abs() < 0.02,
+            "stall {}",
+            freq(stalled)
+        );
     }
 
     #[test]
@@ -393,7 +409,9 @@ mod tests {
         let mut client = TcpStream::connect(proxy.addr()).expect("connect");
         client.write_all(b"ping\n").expect("send");
         let mut reply = [0u8; 5];
-        client.read_exact(&mut reply).expect("echoed back through proxy");
+        client
+            .read_exact(&mut reply)
+            .expect("echoed back through proxy");
         assert_eq!(&reply, b"ping\n");
         drop(client);
         echo.join().expect("echo thread");

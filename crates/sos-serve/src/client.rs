@@ -130,7 +130,10 @@ impl Client {
         spec: &SimSpec,
         deadline_ms: Option<u64>,
     ) -> Result<Value, ClientError> {
-        self.request(&Request::Simulate { spec: spec.clone(), deadline_ms })
+        self.request(&Request::Simulate {
+            spec: spec.clone(),
+            deadline_ms,
+        })
     }
 
     /// `sweep` — Monte Carlo results for many specs as one pool
@@ -220,7 +223,12 @@ impl RetryClient {
     /// connection is made by the first request (and re-made after any
     /// transport failure).
     pub fn new(addr: impl Into<String>, policy: RetryPolicy) -> RetryClient {
-        RetryClient { addr: addr.into(), policy, client: None, retries: 0 }
+        RetryClient {
+            addr: addr.into(),
+            policy,
+            client: None,
+            retries: 0,
+        }
     }
 
     /// Total retries performed over this client's lifetime (attempts
@@ -339,7 +347,10 @@ impl RetryClient {
         spec: &SimSpec,
         deadline_ms: Option<u64>,
     ) -> Result<Value, ClientError> {
-        self.request(&Request::Simulate { spec: spec.clone(), deadline_ms })
+        self.request(&Request::Simulate {
+            spec: spec.clone(),
+            deadline_ms,
+        })
     }
 
     /// Retried [`Client::sweep_with`].

@@ -87,7 +87,7 @@ pub mod spec;
 
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosStats};
 pub use client::{Client, ClientError, RetryClient};
-pub use sos_faults::RetryPolicy;
 pub use protocol::{ErrorCode, Request, Response, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use server::{Server, ServerHandle, ServerOptions, ServerReport};
+pub use sos_faults::RetryPolicy;
 pub use spec::{analyze_doc, analyze_outcome, AnalyzeOutcome, SimSpec, SpecError};
