@@ -208,3 +208,233 @@ fn nesting_is_limited_to_128_levels() {
     let wide = format!("[{}]", vec![nested_arrays(127); 50].join(","));
     assert!(serde_json::from_str::<Value>(&wide).is_ok());
 }
+
+// ---------------------------------------------------------------- raw values
+
+/// Characters the generated strings draw from: every escape class the
+/// writer knows, plus multi-byte text.
+const PALETTE: [char; 12] = [
+    'a', 'Z', ' ', '"', '\\', '\n', '\t', '\r', '\u{1}', '\u{1f}', 'é', '𝄞',
+];
+
+/// A string of palette characters picked by the bytes of `draw`.
+fn text(draw: u64) -> String {
+    (0..(draw % 7))
+        .map(|i| PALETTE[(draw >> (8 * i + 3)) as usize % PALETTE.len()])
+        .collect()
+}
+
+/// A JSON tree (at most four levels deep) built from `draws`: each
+/// draw picks a node and its payload.
+fn tree(draws: &mut impl Iterator<Item = u64>, depth: usize) -> Value {
+    let Some(d) = draws.next() else {
+        return Value::Null;
+    };
+    match d % 8 {
+        0 => Value::Null,
+        1 => Value::Bool(d & 8 != 0),
+        2 => Value::U64(d >> 3),
+        3 => Value::I64(-((d >> 4) as i64) - 1),
+        4 => Value::F64(f64::from_bits(d.rotate_left(13))),
+        5 => Value::Str(text(d)),
+        6 if depth < 4 => Value::Seq((0..d % 4).map(|_| tree(draws, depth + 1)).collect()),
+        7 if depth < 4 => Value::Map(
+            (0..d % 4)
+                .map(|i| (text(d >> (i * 5)), tree(draws, depth + 1)))
+                .collect(),
+        ),
+        _ => Value::U64(d),
+    }
+}
+
+/// `value` with every other child (recursively) replaced by `embed` of
+/// that child.
+fn splice(value: &Value, embed: &dyn Fn(&Value) -> Value) -> Value {
+    let child = |i: usize, v: &Value| {
+        if i.is_multiple_of(2) {
+            embed(v)
+        } else {
+            splice(v, embed)
+        }
+    };
+    match value {
+        Value::Seq(items) => Value::Seq(items.iter().enumerate().map(|(i, v)| child(i, v)).collect()),
+        Value::Map(entries) => Value::Map(
+            entries
+                .iter()
+                .enumerate()
+                .map(|(i, (k, v))| (k.clone(), child(i, v)))
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
+
+/// `value` as compact JSON text embedded raw.
+fn raw(value: &Value) -> Value {
+    Value::Raw(serde_json::to_string(value).unwrap())
+}
+
+/// `value` written out and parsed back.
+fn reparsed(value: &Value) -> Value {
+    serde_json::from_str(&serde_json::to_string(value).unwrap()).unwrap()
+}
+
+fn assert_no_raw(value: &Value) {
+    match value {
+        Value::Raw(text) => panic!("the parser produced a raw value: {text}"),
+        Value::Seq(items) => items.iter().for_each(assert_no_raw),
+        Value::Map(entries) => entries.iter().for_each(|(_, v)| assert_no_raw(v)),
+        _ => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// Compact writers copy a raw value verbatim: a tree holding raw
+    /// values writes the bytes of the same tree with them parsed, and
+    /// `to_writer` writes what `to_string` returns. Pretty output
+    /// expands raw values into the same indented text.
+    #[test]
+    fn raw_values_write_as_the_values_they_hold(
+        draws in proptest::collection::vec(0u64..=u64::MAX, 1..40),
+    ) {
+        let value = tree(&mut draws.into_iter(), 0);
+        let with_raw = splice(&value, &raw);
+        let with_parsed = splice(&value, &reparsed);
+        let compact = serde_json::to_string(&with_raw).unwrap();
+        prop_assert_eq!(&compact, &serde_json::to_string(&with_parsed).unwrap());
+        prop_assert_eq!(&compact, &serde_json::to_string(&raw(&value)).unwrap());
+        let mut written = Vec::new();
+        serde_json::to_writer(&mut written, &with_raw).unwrap();
+        prop_assert_eq!(written, compact.as_bytes().to_vec());
+        let pretty = serde_json::to_string_pretty(&with_raw).unwrap();
+        prop_assert_eq!(&pretty, &serde_json::to_string_pretty(&with_parsed).unwrap());
+        prop_assert_eq!(&pretty, &serde_json::to_string_pretty(&raw(&value)).unwrap());
+        // The parser never yields a raw value, from either layout.
+        assert_no_raw(&serde_json::from_str::<Value>(&compact).unwrap());
+        assert_no_raw(&serde_json::from_str::<Value>(&pretty).unwrap());
+    }
+}
+
+// ------------------------------------------------------- SimSpec encoder
+
+use sos_serve::protocol::{Request, PROTOCOL_VERSION};
+use sos_serve::SimSpec;
+
+/// The spec encoding the request path first had: a `Value` tree of the
+/// spec, written by the compact writer.
+fn reference_spec_value(spec: &SimSpec) -> Value {
+    let mut entries: Vec<(String, Value)> = vec![
+        ("overlay_nodes".into(), Value::U64(spec.overlay_nodes)),
+        ("sos_nodes".into(), Value::U64(spec.sos_nodes)),
+        ("pb".into(), Value::F64(spec.pb)),
+        ("filters".into(), Value::U64(spec.filters)),
+        ("layers".into(), Value::U64(spec.layers)),
+        ("mapping".into(), Value::Str(spec.mapping.clone())),
+        ("distribution".into(), Value::Str(spec.distribution.clone())),
+        ("evaluator".into(), Value::Str(spec.evaluator.clone())),
+        ("model".into(), Value::Str(spec.model.clone())),
+        ("nt".into(), Value::U64(spec.nt)),
+        ("nc".into(), Value::U64(spec.nc)),
+        ("rounds".into(), Value::U64(spec.rounds.into())),
+        ("pe".into(), Value::F64(spec.pe)),
+        ("trials".into(), Value::U64(spec.trials)),
+        ("routes".into(), Value::U64(spec.routes)),
+        ("seed".into(), Value::U64(spec.seed)),
+        ("policy".into(), Value::Str(spec.policy.clone())),
+        ("transport".into(), Value::Str(spec.transport.clone())),
+    ];
+    if let Some(faults) = &spec.faults {
+        entries.push(("faults".into(), Value::Str(faults.clone())));
+    }
+    if let Some(retry) = &spec.retry {
+        entries.push(("retry".into(), Value::Str(retry.clone())));
+    }
+    Value::Map(entries)
+}
+
+/// The `sweep` request the reference encoding wrote.
+fn reference_sweep(specs: &[SimSpec], deadline_ms: Option<u64>) -> Value {
+    let mut entries = vec![
+        ("v".to_string(), Value::U64(PROTOCOL_VERSION)),
+        ("op".to_string(), Value::Str("sweep".into())),
+        (
+            "specs".to_string(),
+            Value::Seq(specs.iter().map(reference_spec_value).collect()),
+        ),
+    ];
+    if let Some(ms) = deadline_ms {
+        entries.push(("deadline_ms".into(), Value::U64(ms)));
+    }
+    Value::Map(entries)
+}
+
+/// Strategy: a spec with arbitrary numbers (any float bit pattern) and
+/// strings full of escapes; `faults`/`retry` present or not.
+fn spec_strategy() -> impl Strategy<Value = SimSpec> {
+    (
+        proptest::collection::vec(0u64..=u64::MAX, 9..10),
+        proptest::collection::vec(0u64..=u64::MAX, 8..9),
+        0u64..4,
+    )
+        .prop_map(|(n, s, optional)| SimSpec {
+            overlay_nodes: n[0],
+            sos_nodes: n[1],
+            pb: f64::from_bits(n[2]),
+            filters: n[3],
+            layers: n[4] >> 60,
+            mapping: text(s[0]),
+            distribution: text(s[1]),
+            evaluator: text(s[2]),
+            model: text(s[3]),
+            nt: n[5],
+            nc: n[6],
+            rounds: n[7] as u32,
+            pe: f64::from_bits(n[8]),
+            trials: n[0] ^ n[1],
+            routes: n[2] >> 1,
+            seed: n[3] ^ n[4],
+            policy: text(s[4]),
+            transport: text(s[5]),
+            faults: (optional & 1 != 0).then(|| text(s[6])),
+            retry: (optional & 2 != 0).then(|| text(s[7])),
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// `SimSpec::to_json` writes the bytes the reference `Value` path
+    /// wrote, alone and inside every request that carries specs.
+    #[test]
+    fn spec_encoder_writes_the_reference_bytes(
+        spec in spec_strategy(),
+        other in spec_strategy(),
+        deadline in 0u64..3,
+    ) {
+        let json = spec.to_json();
+        prop_assert_eq!(&json, &serde_json::to_string(&reference_spec_value(&spec)).unwrap());
+        let deadline_ms = (deadline > 0).then_some(deadline * 500);
+        let specs = vec![spec.clone(), other];
+        let sweep = Request::Sweep { specs: specs.clone(), deadline_ms };
+        prop_assert_eq!(
+            serde_json::to_string(&sweep.to_value()).unwrap(),
+            serde_json::to_string(&reference_sweep(&specs, deadline_ms)).unwrap()
+        );
+        let simulate = Request::Simulate { spec: spec.clone(), deadline_ms };
+        let mut reference = vec![
+            ("v".to_string(), Value::U64(PROTOCOL_VERSION)),
+            ("op".to_string(), Value::Str("simulate".into())),
+            ("spec".to_string(), reference_spec_value(&spec)),
+        ];
+        if let Some(ms) = deadline_ms {
+            reference.push(("deadline_ms".into(), Value::U64(ms)));
+        }
+        prop_assert_eq!(
+            serde_json::to_string(&simulate.to_value()).unwrap(),
+            serde_json::to_string(&Value::Map(reference)).unwrap()
+        );
+    }
+}
